@@ -6,12 +6,11 @@ exists so the full suite re-runs fast enough to live in an edit loop:
 * :mod:`repro.perf.cache` — a content-addressed on-disk result cache.
   Keys cover the experiment name, the package version, the
   :class:`~repro.core.context.RunContext` token, a digest of the
-  context's device specs and a digest of the builder's *dependency
-  cut* (the ``repro`` modules it transitively imports), so a cached
+  context's device specs and a per-process memoised digest of the
+  whole ``repro`` source tree, so a cached
   :class:`~repro.core.registry.ExperimentResult` can only ever be
-  returned when re-running the builder would provably produce the
-  same table and checks — while edits to unrelated modules leave warm
-  entries warm.
+  returned when re-running the builder would produce the same table
+  and checks — any source edit misses every entry.
 * :mod:`repro.perf.profile` — per-experiment wall-clock timings, the
   ``BENCH_perf.json`` trajectory format, the append-only
   ``BENCH_perf_history.jsonl`` archive and the regression comparator
@@ -25,11 +24,7 @@ exists so the full suite re-runs fast enough to live in an edit loop:
 
 from __future__ import annotations
 
-from repro.perf.cache import (
-    ResultCache,
-    ResultCacheStats,
-    dependency_cut,
-)
+from repro.perf.cache import ResultCache, ResultCacheStats
 from repro.perf.profile import (
     ExperimentTiming,
     Profiler,
@@ -46,7 +41,6 @@ from repro.perf.runner import (RunReport, parallel_imap, parallel_map,
 __all__ = [
     "ResultCache",
     "ResultCacheStats",
-    "dependency_cut",
     "ExperimentTiming",
     "Profiler",
     "compare_bench",

@@ -1,31 +1,19 @@
 """Content-addressed on-disk cache for experiment results.
 
-An experiment's output is a pure function of (a) its builder code and
-everything it transitively calls, and (b) the :class:`RunContext` it
-ran under (device sweep, seed, fidelity) plus the registered specs of
-those devices.  The cache key therefore hashes the experiment name
-together with the package version, the context token, a digest of the
-context's :class:`~repro.arch.DeviceSpec` objects and — the part that
-makes warm caches survive edits — a digest of only the ``repro``
-modules the builder *transitively imports* (its **dependency cut**),
-not the whole source tree.
-
-The cut is computed statically: each module's AST is scanned for
-``import``/``from`` statements (including ones nested inside
-functions, which the experiment modules use liberally) and the
-``repro.*`` targets are followed breadth-first.  An edit to
-``repro/te/modules.py`` therefore invalidates the Transformer-Engine
-experiments but leaves the memory-hierarchy entries warm.  Imports are
-mapped to *submodule files*, deliberately not to the parent package's
-``__init__`` — ``repro/core/__init__.py`` imports every experiment
-module, so routing through it would glue all cuts together and undo
-the point of the exercise.  For the same reason the orchestration
-layer itself (``repro.perf``, ``repro.cli``) is excluded from the
-graph: it fans work out and caches results but — by contract, and by
-the parallel-equals-serial tests — never changes what an experiment
-computes, while its runner imports ``repro.core`` wholesale and would
-otherwise re-glue everything.  Builders living outside ``repro`` fall
-back to the conservative whole-tree digest.
+An experiment's output is a pure function of (a) the ``repro`` source
+and (b) the :class:`RunContext` it ran under (device sweep, seed,
+fidelity) plus the registered specs of those devices.  The cache key
+therefore hashes the experiment name together with the package
+version, the context token, a digest of the context's
+:class:`~repro.arch.DeviceSpec` objects and one **content key** for
+the code: :func:`source_digest`, a digest of every ``.py`` file in the
+``repro`` tree.  Any source edit invalidates every entry — a cache may
+never serve an answer a fresh computation would not give.  The digest
+is memoised per process (the code a process runs cannot change under
+it), so keying costs one tree read per process, not one per lookup;
+:func:`device_digest` likewise memoises each spec's ``repr`` on the
+spec object.  The query service's blob tier (:mod:`repro.serve`) puts
+the same tree digest in its storage keys.
 
 Entries store the pickled :class:`~repro.core.tables.Table` and
 :class:`~repro.core.checks.Check` tuple, *not* the
@@ -56,14 +44,14 @@ Two extensions serve the long-running query service
 
 from __future__ import annotations
 
-import ast
+import functools
 import hashlib
 import os
 import pickle
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.context import DEFAULT_CONTEXT, RunContext
 from repro.core.registry import ExperimentResult, get_experiment
@@ -83,19 +71,10 @@ def _record_provenance(event: str, name: str) -> None:
                             args={"experiment": name, "event": event})
 
 __all__ = ["ResultCache", "ResultCacheStats", "default_cache_dir",
-           "source_digest", "device_digest", "dependency_cut"]
+           "source_digest", "device_digest"]
 
 #: bump when the on-disk payload layout changes
 _SCHEMA = 2
-
-#: orchestration modules kept out of dependency graphs — they decide
-#: how builders run, never what they compute (see the module docstring)
-_GRAPH_EXCLUDED = ("repro.perf", "repro.cli")
-
-
-def _graph_excluded(module: str) -> bool:
-    return any(module == p or module.startswith(p + ".")
-               for p in _GRAPH_EXCLUDED)
 
 
 def default_cache_dir() -> Path:
@@ -114,88 +93,10 @@ def _read_source(path: Path) -> bytes:
     return Path(path).read_bytes()
 
 
-def _module_index() -> Dict[str, Path]:
-    """Map every importable ``repro.*`` module name to its file."""
-    import repro
-
-    root = Path(repro.__file__).resolve().parent
-    index: Dict[str, Path] = {"repro": root / "__init__.py"}
-    for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root)
-        parts = list(rel.with_suffix("").parts)
-        if parts[-1] == "__init__":
-            parts = parts[:-1]
-        index[".".join(["repro", *parts]) if parts else "repro"] = path
-    return index
-
-
-def _imported_modules(module: str, source: bytes,
-                      index: Dict[str, Path]) -> List[str]:
-    """The ``repro.*`` modules ``module``'s source imports.
-
-    ``from repro.pkg import name`` resolves to ``repro.pkg`` — or to
-    ``repro.pkg.name`` when that is itself a module — never to parent
-    packages of an explicit submodule target.  Relative imports are
-    resolved against ``module``'s package.
-    """
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return []
-    package = module if index.get(module, Path("")).name \
-        == "__init__.py" else module.rpartition(".")[0]
-    found: List[str] = []
-
-    def add(name: str) -> None:
-        if (name in index and name not in found
-                and not _graph_excluded(name)):
-            found.append(name)
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:                       # relative import
-                base_parts = package.split(".")
-                up = node.level - 1
-                base_parts = base_parts[:len(base_parts) - up] \
-                    if up else base_parts
-                base = ".".join(base_parts)
-                target = f"{base}.{node.module}" if node.module \
-                    else base
-            else:
-                target = node.module or ""
-            if not target.startswith("repro"):
-                continue
-            add(target)
-            for alias in node.names:
-                add(f"{target}.{alias.name}")
-    return found
-
-
-def dependency_cut(module: str) -> Tuple[str, ...]:
-    """Every ``repro.*`` module transitively imported by ``module``
-    (inclusive), sorted — the invalidation scope of a builder."""
-    index = _module_index()
-    if module not in index:
-        return ()
-    seen = {module}
-    frontier = [module]
-    while frontier:
-        current = frontier.pop()
-        deps = _imported_modules(current,
-                                 _read_source(index[current]), index)
-        for dep in deps:
-            if dep not in seen:
-                seen.add(dep)
-                frontier.append(dep)
-    return tuple(sorted(seen))
-
-
+@functools.lru_cache(maxsize=None)
 def source_digest() -> str:
     """Digest of every ``.py`` file in the installed ``repro`` tree —
-    the conservative fallback for builders outside ``repro``."""
+    the content key of the code, memoised per process."""
     import repro
 
     root = Path(repro.__file__).resolve().parent
@@ -208,6 +109,20 @@ def source_digest() -> str:
     return h.hexdigest()
 
 
+#: ``repr`` bytes per spec object, keyed on ``id``: specs are frozen
+#: (and unhashable), and each entry holds its spec, so an id is never
+#: reused while its entry lives.  Re-registering a device installs a
+#: new spec object, which misses here.
+_SPEC_REPRS: Dict[int, Tuple[Any, bytes]] = {}
+
+
+def _spec_repr(spec: Any) -> bytes:
+    entry = _SPEC_REPRS.get(id(spec))
+    if entry is None:
+        entry = _SPEC_REPRS[id(spec)] = (spec, repr(spec).encode())
+    return entry[1]
+
+
 def device_digest(devices: Optional[Tuple[str, ...]] = None) -> str:
     """Digest of the named device specs (default: all registered)."""
     from repro.arch import get_device, list_devices
@@ -215,7 +130,7 @@ def device_digest(devices: Optional[Tuple[str, ...]] = None) -> str:
     names = list(devices) if devices else list_devices()
     h = hashlib.sha256()
     for name in sorted(names):
-        h.update(repr(get_device(name)).encode())
+        h.update(_spec_repr(get_device(name)))
         h.update(b"\0")
     return h.hexdigest()
 
@@ -257,9 +172,6 @@ class ResultCache:
     root: Optional[Path] = None
     stats: ResultCacheStats = field(default_factory=ResultCacheStats)
     max_entries: Optional[int] = None
-    _cut_digests: Dict[str, str] = field(default_factory=dict,
-                                         repr=False)
-    _fallback_digest: Optional[str] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.root is None:
@@ -272,43 +184,19 @@ class ResultCache:
 
     # -- keys ---------------------------------------------------------------
 
-    def _cut_digest(self, module: str) -> str:
-        """Digest of ``module``'s dependency cut (memoised — source
-        cannot change under a running process in a way we could
-        honour anyway)."""
-        if module not in self._cut_digests:
-            index = _module_index()
-            cut = dependency_cut(module)
-            if not cut:          # builder outside repro: whole tree
-                if self._fallback_digest is None:
-                    self._fallback_digest = source_digest()
-                self._cut_digests[module] = \
-                    f"tree={self._fallback_digest}"
-            else:
-                h = hashlib.sha256()
-                for dep in cut:
-                    h.update(dep.encode())
-                    h.update(b"\0")
-                    h.update(_read_source(index[dep]))
-                    h.update(b"\0")
-                self._cut_digests[module] = f"cut={h.hexdigest()}"
-        return self._cut_digests[module]
-
     def key_for(self, name: str,
                 context: Optional[RunContext] = None) -> str:
         """The full content-address of one (experiment, context)."""
         import repro
 
         ctx = DEFAULT_CONTEXT if context is None else context
-        module = getattr(get_experiment(name).builder, "__module__",
-                         "") or ""
         h = hashlib.sha256()
         h.update(f"schema={_SCHEMA}\n".encode())
         h.update(f"version={repro.__version__}\n".encode())
         h.update(f"name={name}\n".encode())
         h.update(f"context={ctx.token()}\n".encode())
         h.update(f"devices={device_digest(ctx.devices)}\n".encode())
-        h.update(f"source:{self._cut_digest(module)}\n".encode())
+        h.update(f"source={source_digest()}\n".encode())
         return h.hexdigest()
 
     def path_for(self, name: str,

@@ -8,11 +8,14 @@ shards (:mod:`repro.serve.planner`), answers each shard once
 order with each caller's ``id`` tag re-attached.
 
 Two cache tiers sit between planning and dispatch, both addressed by a
-**storage key** layered over the shard's content digest (package
-version, base-context token, device-spec digest, observability mode,
-and — for family shards — the experiment tier's full dependency-cut
-keys, so editing an experiment module invalidates exactly its
-entries):
+**storage key** layered over the shard's content digest: package
+version, base-context token, device-spec digest, observability mode
+and the memoised whole-tree source digest the experiment tier keys on
+too (:func:`~repro.perf.cache.source_digest`), so any source edit
+invalidates every entry.  Family shards need nothing more: a derived
+experiment context is a function of the base context and the query
+content (``name``, ``seed``, ``fidelity``, ``device``), all already in
+the key.
 
 * an in-process **memo** — the warm-service fast path;
 * the persistent blob tier of the shared content-addressed
@@ -167,7 +170,7 @@ class QueryService:
         no delta to replay.
         """
         import repro
-        from repro.perf.cache import device_digest
+        from repro.perf.cache import device_digest, source_digest
 
         devices = (shard.device,) if shard.device \
             else self.context.devices
@@ -185,49 +188,8 @@ class QueryService:
                      .encode())
         h.update(f"obs={int(obs)}\n".encode())
         h.update(f"content={shard.content_key()}\n".encode())
-        if shard.kind == "experiment":
-            # family answers depend on experiment source: reuse the
-            # experiment tier's dependency-cut keys so edits invalidate
-            # exactly the families they touch
-            for q in shard.queries:
-                h.update(self._experiment_key(q).encode())
-                h.update(b"\n")
+        h.update(f"source={source_digest()}\n".encode())
         return h.hexdigest()
-
-    def _experiment_key(self, query: Query) -> str:
-        from repro.core.registry import get_experiment
-
-        name = query.param("name")
-        try:
-            get_experiment(name)
-        except KeyError:
-            return f"unknown={name}"
-        try:
-            ctx = self.context.derive(
-                devices=(query.device,) if query.device else None,
-                seed=query.param("seed"),
-                fidelity=query.param("fidelity"))
-        except (KeyError, ValueError) as exc:
-            # underivable context (unknown device — experiment-kind
-            # queries skip device validation at construction): a
-            # stable sentinel keeps the shard dispatchable so the
-            # in-stream error path answers the query
-            return f"badctx={exc}"
-        return f"experiment={self._keyer.key_for(name, ctx)}"
-
-    @property
-    def _keyer(self):
-        """A :class:`~repro.perf.cache.ResultCache` used purely for
-        :meth:`~repro.perf.cache.ResultCache.key_for` (dependency-cut
-        digests are memoised on the instance; nothing is read or
-        written through it unless it *is* the service cache)."""
-        from repro.perf.cache import ResultCache
-
-        if isinstance(self.cache, ResultCache):
-            return self.cache
-        if getattr(self, "_key_cache", None) is None:
-            self._key_cache = ResultCache(root="_serve_keys_unused")
-        return self._key_cache
 
     # -- the batch path -----------------------------------------------------
 

@@ -15,6 +15,30 @@ def _hermetic_result_cache(tmp_path, monkeypatch):
                        str(tmp_path / "result-cache"))
 
 
+@pytest.fixture()
+def edit_source(monkeypatch):
+    """``edit_source("te/modules.py")`` makes the source digest see
+    that module as edited: it stubs ``perf.cache._read_source`` and
+    resets the per-process digest memo (again on teardown, so later
+    tests digest the real tree)."""
+    from repro.perf import cache as cmod
+
+    real = cmod._read_source
+
+    def edit(suffix):
+        def patched(path):
+            data = real(path)
+            if path.as_posix().endswith(suffix):
+                return data + b"\n# edited\n"
+            return data
+
+        monkeypatch.setattr(cmod, "_read_source", patched)
+        cmod.source_digest.cache_clear()
+
+    yield edit
+    cmod.source_digest.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def a100():
     return get_device("A100")

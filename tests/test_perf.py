@@ -130,65 +130,90 @@ class TestCompareBench:
         assert compare_bench(base, cur) == []
 
 
-class TestDependencyCutKeys:
-    """The cache invalidates on the builder's transitive imports, not
-    the whole tree."""
+class TestSourceKeys:
+    """One content key: any edit to any ``repro`` module misses every
+    cached experiment, including modules no builder imports."""
 
-    def _edit(self, monkeypatch, module_path_suffix):
-        """Make _read_source see one module's source as edited."""
-        from repro.perf import cache as cmod
+    NAMES = ("table03_devices", "table04_mem_latency", "fig04_te_linear")
 
-        real = cmod._read_source
+    def _fill(self, root):
+        cache = ResultCache(root)
+        for name in self.NAMES:
+            cache.put(name, run_experiment(name))
 
-        def patched(path):
-            data = real(path)
-            if str(path).endswith(module_path_suffix):
-                return data + b"\n# edited\n"
-            return data
+    def _assert_all_miss(self, root):
+        warm = ResultCache(root)
+        assert [warm.get(n) for n in self.NAMES] == [None] * 3
+        assert warm.stats.misses == 3
 
-        monkeypatch.setattr(cmod, "_read_source", patched)
-
-    def test_te_edit_keeps_memory_experiments_warm(self, tmp_path,
-                                                   monkeypatch):
-        from repro.perf import ResultCache
-
-        cache = ResultCache(tmp_path / "rc")
-        cache.put("table04_mem_latency",
-                  run_experiment("table04_mem_latency"))
-        cache.put("fig04_te_linear", run_experiment("fig04_te_linear"))
-
-        self._edit(monkeypatch, "te/modules.py")
+    def test_unedited_tree_stays_warm(self, tmp_path):
+        self._fill(tmp_path / "rc")
         warm = ResultCache(tmp_path / "rc")
-        assert warm.get("table04_mem_latency") is not None
-        assert warm.get("fig04_te_linear") is None
+        assert all(warm.get(n) is not None for n in self.NAMES)
+        assert warm.stats.hits == 3
+
+    def test_te_edit_invalidates_memory_experiments(self, tmp_path,
+                                                    edit_source):
+        self._fill(tmp_path / "rc")
+        edit_source("te/modules.py")
+        self._assert_all_miss(tmp_path / "rc")
 
     def test_memory_edit_invalidates_memory_experiments(self, tmp_path,
-                                                        monkeypatch):
-        from repro.perf import ResultCache
+                                                        edit_source):
+        self._fill(tmp_path / "rc")
+        edit_source("memory/hierarchy.py")
+        self._assert_all_miss(tmp_path / "rc")
 
+    @pytest.mark.parametrize("module", ["perf/runner.py", "cli.py"],
+                             ids=["runner", "cli"])
+    def test_orchestration_edit_invalidates(self, tmp_path, edit_source,
+                                            module):
+        self._fill(tmp_path / "rc")
+        edit_source(module)
+        self._assert_all_miss(tmp_path / "rc")
+
+    def test_tree_is_read_once_per_process(self, tmp_path, monkeypatch):
+        from repro.perf import cache as cmod
+
+        reads = []
+        real = cmod._read_source
+
+        def counting(path):
+            reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cmod, "_read_source", counting)
+        cmod.source_digest.cache_clear()
+        try:
+            for _ in range(2):
+                cache = ResultCache(tmp_path / "rc")
+                for name in self.NAMES:
+                    cache.key_for(name)
+            assert len(reads) == len(set(reads)) > 0
+        finally:
+            cmod.source_digest.cache_clear()
+
+
+class TestDeviceDigest:
+    def test_reregistering_a_device_changes_digest_and_key(self,
+                                                           tmp_path):
+        from repro.arch import get_device, register_device
+        from repro.perf.cache import device_digest
+
+        original = get_device("H800")
         cache = ResultCache(tmp_path / "rc")
-        cache.put("table04_mem_latency",
-                  run_experiment("table04_mem_latency"))
-        self._edit(monkeypatch, "memory/hierarchy.py")
-        warm = ResultCache(tmp_path / "rc")
-        assert warm.get("table04_mem_latency") is None
-
-    def test_cut_contents(self):
-        from repro.perf import dependency_cut
-
-        cut = dependency_cut("repro.core.experiments.memory")
-        assert "repro.core.experiments.memory" in cut
-        assert "repro.memory.hierarchy" in cut      # transitive
-        assert "repro.te.modules" not in cut        # unrelated
-        assert not any(m.startswith("repro.perf") for m in cut)
-        assert "repro.core" not in cut              # no hub gluing
-
-    def test_function_level_imports_are_tracked(self):
-        # extensions.py imports repro.te inside builder bodies only
-        from repro.perf import dependency_cut
-
-        cut = dependency_cut("repro.core.experiments.extensions")
-        assert any(m.startswith("repro.te") for m in cut)
+        digest, key = device_digest(("H800",)), cache.key_for(EXP)
+        assert device_digest(("H800",)) == digest      # memo hit
+        try:
+            register_device(original.with_overrides(
+                power_cap_watts=original.power_cap_watts + 1.0),
+                overwrite=True)
+            assert device_digest(("H800",)) != digest
+            assert cache.key_for(EXP) != key
+        finally:
+            register_device(original, overwrite=True)
+        assert device_digest(("H800",)) == digest
+        assert cache.key_for(EXP) == key
 
 
 class TestContextKeys:

@@ -164,6 +164,40 @@ class TestExperimentFallback:
             < base.metric("checks_total")
 
 
+class TestSourceEdits:
+    """Serve answers trace to the current source: after a model edit
+    no cache tier answers from an entry the old code computed."""
+
+    def _answer(self, root, query):
+        service = QueryService(cache=ResultCache(root=root))
+        prediction = service.answer(parse_query(query))
+        return prediction, service.stats.as_dict()
+
+    def _check_edit_recomputes(self, tmp_path, edit_source, query):
+        root = tmp_path / "cache"
+        cold, _ = self._answer(root, query)
+        warm, stats = self._answer(root, query)
+        assert stats.get("serve.cache.blob_hits", 0) == 1
+        assert warm.to_line() == cold.to_line()
+
+        edit_source("te/cost.py")
+        _, stats = self._answer(root, query)
+        assert stats.get("serve.cache.blob_hits", 0) == 0
+        assert stats.get("serve.cache.shard_misses", 0) == 1
+
+    def test_point_query_recomputes_after_edit(self, tmp_path,
+                                               edit_source):
+        self._check_edit_recomputes(tmp_path, edit_source, {
+            "kind": "te.linear", "device": "H800", "precision": "fp16",
+            "params": {"m": 4096, "n": 4096, "k": 4096}})
+
+    def test_experiment_query_recomputes_after_edit(self, tmp_path,
+                                                    edit_source):
+        self._check_edit_recomputes(tmp_path, edit_source, {
+            "kind": "experiment",
+            "params": {"name": "table03_devices"}})
+
+
 class TestInStreamErrors:
     """One bad line never aborts a batch — the contract REVIEW.md
     caught two crashes against."""
