@@ -31,6 +31,7 @@ from repro.obs.export import (
     render_openmetrics,
 )
 from repro.perf import run_experiments
+from repro.perf.cache import ResultCache
 
 #: fast, supported on every registered device, and counter-emitting —
 #: so the per-device determinism sweep always has labeled banks to
@@ -101,6 +102,62 @@ class TestExportDeterminism:
             len(CHEAP)
         for bank in s.per_experiment.values():
             assert "exp.completed" not in bank.as_dict()
+
+
+def serve_session(tmp_path) -> ObsSession:
+    """A mixed ``serve`` batch (point kinds on two devices plus an
+    experiment query) answered under one session."""
+    from repro.serve import QueryService
+
+    lines = [json.dumps(q) for q in (
+        {"kind": "te.linear", "device": "H800", "precision": "fp16",
+         "params": {"m": 256, "n": 256, "k": 256}},
+        {"kind": "mma", "device": "A100",
+         "params": {"ab": "fp16", "cd": "fp32",
+                    "m": 16, "n": 8, "k": 16}},
+        {"kind": "memory.latency", "device": "H800",
+         "params": {"footprint_kib": 64}},
+        {"kind": "experiment", "params": {"name": "table03_devices"}},
+    )]
+    session = ObsSession()
+    with session.activate():
+        QueryService(cache=ResultCache(root=tmp_path)) \
+            .answer_lines_text(lines)
+    session.context = None
+    return session
+
+
+def fuzz_session(tmp_path) -> ObsSession:
+    from repro.fuzz import run_fuzz
+
+    session = ObsSession()
+    with session.activate():
+        run_fuzz(2026, 4)
+    session.context = None
+    return session
+
+
+class TestV2CoversFlatBank:
+    """The counters/v2 document drops no counter: its experiment banks
+    plus ``orchestration`` sum to the session's flat bank exactly, for
+    every entry point that exports counters."""
+
+    @pytest.mark.parametrize("make", [
+        lambda tmp_path: run_session(1),
+        lambda tmp_path: run_session(2),
+        serve_session,
+        fuzz_session,
+    ], ids=["run-serial", "run-jobs2", "serve", "fuzz"])
+    def test_v2_banks_sum_to_flat_bank(self, make, tmp_path):
+        session = make(tmp_path)
+        payload = session.counters_v2_payload(context=session.context)
+        total = {}
+        for bank in (*payload["experiments"].values(),
+                     payload["orchestration"]):
+            for name, value in bank.items():
+                total[name] = total.get(name, 0) + value
+        assert total
+        assert total == session.counters.as_dict()
 
 
 class TestOpenMetricsShape:
