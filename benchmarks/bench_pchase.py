@@ -11,9 +11,9 @@ Usage::
 Replays every pointer chase ``ext_cache_detection`` issues at **full**
 fidelity — the capacity sweep (with its steady-state warmup passes),
 the stride sweep and the conflict ladders, on all three paper devices
-— twice: once through the scalar one-``load()``-per-hop reference
-loops (the executable specs preserved as ``*_scalar``) and once
-through the steady-state :class:`~repro.memory.chase.ChaseEngine`.
+— twice: once through scalar one-``load()``-per-hop chase loops
+(the loop ``tests/reference/chase.py`` pins the engine against) and
+once through the steady-state :class:`~repro.memory.chase.ChaseEngine`.
 
 Only the chases themselves are timed.  The warm-up fills
 (``warm_l1``/``warm_l2``/``warm_tlb``) are the *same* vectorized

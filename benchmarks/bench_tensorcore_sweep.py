@@ -11,7 +11,7 @@ Usage::
 Times the full legal mma grid (every dtype pair × shape × dense/
 sparse, on every device) and the full wgmma N-sweep (Hopper) twice:
 once through the scalar per-instruction walk
-(:class:`ScalarTensorCoreTimingModel`) and once through the batched
+(``TensorCoreTimingModel(dev).mma(instr)``) and once through the batched
 :class:`MmaSweep`/:class:`WgmmaSweep` constructors.  Both paths price
 the identical instruction list — ``tests/test_vectorized_equivalence``
 pins them bit-equal, this script pins the *speed* claim.
@@ -45,10 +45,7 @@ from repro.isa.mma import (
     valid_wgmma_n,
     wgmma_k,
 )
-from repro.tensorcore import (
-    ScalarTensorCoreTimingModel,
-    TensorCoreTimingModel,
-)
+from repro.tensorcore import TensorCoreTimingModel
 
 _MMA_ABS = (DType.FP16, DType.BF16, DType.TF32, DType.FP64,
             DType.INT8, DType.INT4, DType.BIN1)
@@ -110,7 +107,7 @@ def mma_grids() -> List[Tuple[object, List[MmaInstruction]]]:
     grids = []
     for d in list_devices():
         dev = get_device(d)
-        model = ScalarTensorCoreTimingModel(dev)
+        model = TensorCoreTimingModel(dev)
         ok = []
         for instr in base_mma_grid():
             try:
@@ -124,7 +121,7 @@ def mma_grids() -> List[Tuple[object, List[MmaInstruction]]]:
 
 def wgmma_grid() -> Tuple[object, List[WgmmaInstruction]]:
     dev = get_device("H800")
-    model = ScalarTensorCoreTimingModel(dev)
+    model = TensorCoreTimingModel(dev)
     ok = []
     for instr in base_wgmma_grid():
         try:
@@ -142,10 +139,10 @@ def time_scalar(repeat: int) -> float:
     for _ in range(repeat):
         t0 = time.perf_counter()
         for dev, instrs in grids:
-            model = ScalarTensorCoreTimingModel(dev)
+            model = TensorCoreTimingModel(dev)
             for instr in instrs:
                 _price_mma(model.mma(instr))
-        model = ScalarTensorCoreTimingModel(hopper)
+        model = TensorCoreTimingModel(hopper)
         for instr in wgmma_instrs:
             _price_wgmma(model.wgmma(instr))
         best = min(best, time.perf_counter() - t0)
@@ -225,7 +222,7 @@ def test_bench_scalar_walk(benchmark):
 
     def scalar():
         for dev, instrs in grids:
-            model = ScalarTensorCoreTimingModel(dev)
+            model = TensorCoreTimingModel(dev)
             for instr in instrs:
                 _price_mma(model.mma(instr))
 

@@ -1,27 +1,22 @@
 #!/usr/bin/env python
-"""Validate counter dumps against their declared schema.
+"""Validate counter dumps against the counters/v2 schema.
 
 Usage::
 
     python benchmarks/validate_counters.py COUNTERS.json [MORE ...]
 
-Dispatches on the ``schema`` tag in each file:
+Each file must carry the ``hopperdissect.counters/v2`` schema tag —
+the labeled dump written by ``--metrics PATH.json``
+(:meth:`repro.obs.ObsSession.write_counters_v2`): run-level
+``labels`` (string→string), ``experiments`` mapping experiment names
+to counter banks, an ``orchestration`` bank for counters fired
+outside any experiment, and canonical serialization in the v2 key
+order (schema, context, labels, experiments sorted by name,
+orchestration; counters in ``counter_sort_key`` order — histogram
+buckets numeric by bound, *not* plain ``sort_keys``).  Any other
+schema tag is rejected as unknown.
 
-* ``hopperdissect.counters/v1`` — the flat dump written by
-  :meth:`repro.obs.ObsSession.write_counters_json`: exactly
-  ``schema``/``context``/``counters`` keys, names mapping to
-  non-negative integers, canonical serialization (sorted keys,
-  compact separators, trailing newline).
-* ``hopperdissect.counters/v2`` — the labeled dump written by
-  :meth:`repro.obs.ObsSession.write_counters_v2`: run-level
-  ``labels`` (string→string), ``experiments`` mapping experiment
-  names to counter banks, an ``orchestration`` bank for counters
-  fired outside any experiment, and canonical serialization in the
-  v2 key order (schema, context, labels, experiments sorted by name,
-  orchestration; counters in ``counter_sort_key`` order — histogram
-  buckets numeric by bound, *not* plain ``sort_keys``).
-
-Both banks are monotonic — a negative value means a broken merge.
+Every bank is monotonic — a negative value means a broken merge.
 Exit code 0 when every file validates; prints one summary line per
 file.  CI runs this as the counter-schema smoke step next to
 ``validate_trace.py``.
@@ -37,15 +32,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.obs.counters import counter_sort_key  # noqa: E402
 
-_SCHEMA_V1 = "hopperdissect.counters/v1"
 _SCHEMA_V2 = "hopperdissect.counters/v2"
-_KEYS_V1 = {"schema", "context", "counters"}
 _KEYS_V2 = {"schema", "context", "labels", "experiments",
             "orchestration"}
 
 
-def _check_bank(path: Path, where: str, counters, *,
-                ordered: bool = True) -> int:
+def _check_bank(path: Path, where: str, counters) -> int:
     if not isinstance(counters, dict):
         raise ValueError(f"{path}: {where} must be an object")
     for name, value in counters.items():
@@ -57,11 +49,10 @@ def _check_bank(path: Path, where: str, counters, *,
             raise ValueError(
                 f"{path}: counter {name!r} in {where} has "
                 f"non-monotonic or non-integer value {value!r}")
-    if ordered:
-        names = list(counters)
-        if names != sorted(names, key=counter_sort_key):
-            raise ValueError(
-                f"{path}: {where} not in canonical counter order")
+    names = list(counters)
+    if names != sorted(names, key=counter_sort_key):
+        raise ValueError(
+            f"{path}: {where} not in canonical counter order")
     return len(counters)
 
 
@@ -69,24 +60,6 @@ def _check_context(path: Path, payload) -> None:
     ctx = payload["context"]
     if ctx is not None and not isinstance(ctx, str):
         raise ValueError(f"{path}: context must be a string or null")
-
-
-def _validate_v1(path: Path, raw: str, payload: dict) -> int:
-    if set(payload) != _KEYS_V1:
-        raise ValueError(
-            f"{path}: keys {sorted(payload)} != {sorted(_KEYS_V1)}")
-    _check_context(path, payload)
-    counters = payload["counters"]
-    # v1 predates numeric bucket ordering — its canonical form is a
-    # plain lexical sort, enforced by the re-serialization below
-    _check_bank(path, "counters", counters, ordered=False)
-    canonical = json.dumps(payload, sort_keys=True,
-                           separators=(",", ":")) + "\n"
-    if raw != canonical:
-        raise ValueError(
-            f"{path}: not in canonical v1 form (sorted keys, compact "
-            "separators, trailing newline)")
-    return len(counters)
 
 
 def _validate_v2(path: Path, raw: str, payload: dict) -> int:
@@ -130,13 +103,11 @@ def validate(path: Path) -> int:
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: top level must be an object")
     schema = payload.get("schema")
-    if schema == _SCHEMA_V1:
-        return _validate_v1(path, raw, payload)
-    if schema == _SCHEMA_V2:
-        return _validate_v2(path, raw, payload)
-    raise ValueError(
-        f"{path}: unknown schema {schema!r} (expected "
-        f"{_SCHEMA_V1!r} or {_SCHEMA_V2!r})")
+    if schema != _SCHEMA_V2:
+        raise ValueError(
+            f"{path}: unknown schema {schema!r} (expected "
+            f"{_SCHEMA_V2!r})")
+    return _validate_v2(path, raw, payload)
 
 
 def main(argv) -> int:

@@ -12,7 +12,7 @@ Subcommands::
     hopperdissect devices              # Table III
     hopperdissect report -o EXPERIMENTS.md
     hopperdissect run --all --counters # + hardware-counter table
-    hopperdissect run --all --counters-json c.json  # machine-readable
+    hopperdissect run --all --metrics c.json # counters/v2 JSON
     hopperdissect run --all --trace t.json   # + Perfetto trace
     hopperdissect stats table04_mem_latency  # counter deep-dive
     hopperdissect serve < queries.jsonl      # batch cost oracle
@@ -104,10 +104,9 @@ def _make_cache(args):
 
 def _make_obs(args):
     """An :class:`~repro.obs.ObsSession` when ``--counters``,
-    ``--counters-json`` or ``--trace`` asked for one, else ``None``
+    ``--metrics`` or ``--trace`` asked for one, else ``None``
     (instrumentation stays on its null-object fast path)."""
     if (getattr(args, "counters", False)
-            or getattr(args, "counters_json", None)
             or getattr(args, "metrics", None)
             or getattr(args, "trace", None)):
         from repro.obs import ObsSession
@@ -116,18 +115,19 @@ def _make_obs(args):
     return None
 
 
-def _write_metrics(session, path, context) -> None:
-    """``--metrics PATH``: labeled export, format by extension —
-    ``.json`` gets the counters/v2 document, anything else the
-    OpenMetrics text exposition."""
-    if str(path).endswith(".json"):
-        session.write_counters_v2(path, context=context)
-        form = "counters/v2 JSON"
-    else:
-        session.write_openmetrics(path, context=context)
-        form = "OpenMetrics text"
-    print(f"wrote {path} ({form}, "
-          f"{len(session.per_experiment)} experiment banks)")
+def _write_metrics(session, args, context) -> None:
+    """``--metrics PATH`` (repeatable): labeled export, format by
+    extension — ``.json`` gets the counters/v2 document, anything else
+    the OpenMetrics text exposition."""
+    for path in getattr(args, "metrics", None) or ():
+        if str(path).endswith(".json"):
+            session.write_counters_v2(path, context=context)
+            form = "counters/v2 JSON"
+        else:
+            session.write_openmetrics(path, context=context)
+            form = "OpenMetrics text"
+        print(f"wrote {path} ({form}, "
+              f"{len(session.per_experiment)} experiment banks)")
 
 
 def _finish_obs(session, args, context=None) -> None:
@@ -137,14 +137,7 @@ def _finish_obs(session, args, context=None) -> None:
     if getattr(args, "counters", False):
         print(session.render_counters())
         print()
-    counters_path = getattr(args, "counters_json", None)
-    if counters_path:
-        session.write_counters_json(counters_path, context=context)
-        print(f"wrote {counters_path} "
-              f"({len(session.counters)} counters)")
-    metrics_path = getattr(args, "metrics", None)
-    if metrics_path:
-        _write_metrics(session, metrics_path, context)
+    _write_metrics(session, args, context)
     trace_path = getattr(args, "trace", None)
     if trace_path:
         session.write_trace(trace_path)
@@ -281,17 +274,9 @@ def _cmd_stats(args) -> int:
     print(res.render())
     print()
     print(session.render_counters())
-    if args.counters_json:
-        session.write_counters_json(args.counters_json,
-                                    context=context)
-        print(f"\nwrote {args.counters_json} "
-              f"({len(session.counters)} counters)")
-    if args.openmetrics:
-        session.write_openmetrics(args.openmetrics, context=context)
-        print(f"\nwrote {args.openmetrics} (OpenMetrics text)")
-    if args.metrics_json:
-        session.write_counters_v2(args.metrics_json, context=context)
-        print(f"\nwrote {args.metrics_json} (counters/v2 JSON)")
+    if args.metrics:
+        print()
+        _write_metrics(session, args, context)
     if args.trace:
         session.write_trace(args.trace)
         print(f"\nwrote {args.trace} "
@@ -502,18 +487,18 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--no-cache", action="store_true",
                         help="ignore the on-disk result cache")
 
+    def add_metrics_flag(sp) -> None:
+        sp.add_argument("--metrics", action="append", default=None,
+                        metavar="PATH",
+                        help="export labeled per-experiment counters: "
+                             "counters/v2 JSON for .json paths, "
+                             "OpenMetrics text otherwise; repeatable")
+
     def add_obs_flags(sp) -> None:
         sp.add_argument("--counters", action="store_true",
                         help="collect hardware-style counters and "
                              "print the counter table")
-        sp.add_argument("--counters-json", default=None,
-                        metavar="PATH", dest="counters_json",
-                        help="dump the counter bank as canonical "
-                             "JSON (hopperdissect.counters/v1)")
-        sp.add_argument("--metrics", default=None, metavar="PATH",
-                        help="export labeled per-experiment counters: "
-                             "counters/v2 JSON for .json paths, "
-                             "OpenMetrics text otherwise")
+        add_metrics_flag(sp)
         sp.add_argument("--trace", default=None, metavar="PATH",
                         help="write a structured trace (Chrome/"
                              "Perfetto JSON, or JSONL for .jsonl "
@@ -573,18 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats_p.add_argument("experiment",
                          help="experiment name (see `list`)")
     add_context_flags(stats_p)
-    stats_p.add_argument("--counters-json", default=None,
-                         metavar="PATH", dest="counters_json",
-                         help="also dump the counter bank as "
-                              "canonical JSON")
-    stats_p.add_argument("--openmetrics", default=None,
-                         metavar="PATH",
-                         help="also export the labeled counters as "
-                              "OpenMetrics text exposition")
-    stats_p.add_argument("--metrics-json", default=None,
-                         metavar="PATH", dest="metrics_json",
-                         help="also export the labeled counters as "
-                              "counters/v2 JSON")
+    add_metrics_flag(stats_p)
     stats_p.add_argument("--trace", default=None, metavar="PATH",
                          help="also write a structured trace")
     stats_p.add_argument("--diff", default=None, metavar="BASELINE",

@@ -22,9 +22,8 @@ and computes the final state matrices in closed form with array
 operations, skipping the per-access loop entirely.
 
 Behaviour is access-for-access identical to the original scalar
-implementation, preserved as
-:class:`repro.memory.cache_scalar.ScalarSetAssociativeCache` and
-enforced by property-based tests.
+implementation, preserved as the reference cache in
+``tests/reference/cache.py`` and enforced by property-based tests.
 """
 
 from __future__ import annotations

@@ -19,14 +19,13 @@ model agree.
 Each point of the capacity and stride sweeps is an independent chase
 through its own :class:`MemoryHierarchy`.  The chase *inside* a point
 is logically serial — every load depends on the previous one; that is
-the whole point of P-chase — but the default ``engine="vectorized"``
-resolves it on the steady-state
+the whole point of P-chase — but it is resolved on the steady-state
 :class:`~repro.memory.chase.ChaseEngine`: whole periods run through
 the batched cache paths and repeated periods are accounted
 analytically, with results exactly equal (cycles and counters) to the
-scalar reference loops preserved as ``*_scalar``.  A vectorized point
+one-``load()``-per-hop loop in ``tests/reference/chase.py``.  A point
 is cheap enough that the :func:`repro.perf.parallel_map` process-pool
-fan-out (``jobs > 1``) is now an option rather than a necessity.
+fan-out (``jobs > 1``) is an option rather than a necessity.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ import numpy as np
 
 from repro.arch import DeviceSpec
 from repro.isa.memory_ops import CacheOp
-from repro.memory.chase import (ChaseEngine, chase_total_clk,
-                                latency_counts)
+from repro.memory.chase import ChaseEngine
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import session as _obs
 
@@ -100,27 +98,6 @@ def _capacity_point(task: Tuple[DeviceSpec, int, int, int],
     return kib, eng.run(seq, iters).mean_latency_clk
 
 
-def _capacity_point_scalar(task: Tuple[DeviceSpec, int, int, int]) \
-        -> Tuple[int, float]:
-    """Scalar reference for :func:`_capacity_point` — the original
-    one-load-per-step chase (the executable spec)."""
-    device, kib, iters, warmup = task
-    mh = MemoryHierarchy(device)
-    size = kib * 1024
-    mh.warm_l1(0, 0, size)
-    mh.warm_tlb(0, size)
-    n = size // 128
-    for _ in range(warmup):        # extra steady-state chase passes
-        for i in range(n):
-            mh.load(i * 128, 32, sm_id=0)
-    lats = np.empty(iters)
-    idx = 0
-    for i in range(iters):
-        lats[i] = mh.load(idx * 128, 32, sm_id=0).latency_clk
-        idx = (idx + 1) % n
-    return kib, chase_total_clk(latency_counts(lats)) / iters
-
-
 def _stride_point(task: Tuple[DeviceSpec, int, int, int],
                   mh: Optional[MemoryHierarchy] = None) \
         -> Tuple[int, float]:
@@ -141,24 +118,6 @@ def _stride_point(task: Tuple[DeviceSpec, int, int, int],
     return stride, eng.run(seq, iters).mean_latency_clk
 
 
-def _stride_point_scalar(task: Tuple[DeviceSpec, int, int, int]) \
-        -> Tuple[int, float]:
-    """Scalar reference for :func:`_stride_point` (the executable
-    spec)."""
-    device, stride, array_kib, iters = task
-    size = array_kib * 1024
-    mh = MemoryHierarchy(device)
-    mh.warm_tlb(0, size)
-    mh.warm_l2(0, size)
-    n = size // stride
-    lats = np.empty(iters)
-    for i in range(iters):
-        addr = (i % n) * stride
-        lats[i] = mh.load(addr, 4, sm_id=0,
-                          cache_op=CacheOp.CACHE_ALL).latency_clk
-    return stride, chase_total_clk(latency_counts(lats)) / iters
-
-
 @dataclass(frozen=True)
 class DetectedParameters:
     """What the sweeps inferred."""
@@ -175,26 +134,17 @@ class CacheProbe:
     sweep also takes an explicit ``jobs`` override.  ``fidelity``
     selects a :data:`PROBE_BUDGETS` tier — ``full`` runs longer chases
     with steady-state warmup passes before every measured loop.
-    ``engine`` picks the steady-state chase engine (default) or the
-    scalar reference loops; both produce identical sweeps.
     """
 
-    _ENGINES = ("vectorized", "scalar")
-
     def __init__(self, device: DeviceSpec, *, jobs: int = 1,
-                 fidelity: str = "fast",
-                 engine: str = "vectorized") -> None:
+                 fidelity: str = "fast") -> None:
         if fidelity not in PROBE_BUDGETS:
             raise ValueError(
                 f"unknown fidelity {fidelity!r}; "
                 f"expected one of {sorted(PROBE_BUDGETS)}")
-        if engine not in self._ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; "
-                             f"expected one of {self._ENGINES}")
         self.device = device
         self.jobs = max(1, jobs)
         self.fidelity = fidelity
-        self.engine = engine
         self.budget = PROBE_BUDGETS[fidelity]
         self._mh: Optional[MemoryHierarchy] = None
 
@@ -221,7 +171,7 @@ class CacheProbe:
             # out of the counter bank and serial/parallel dumps would
             # diverge; under observability the sweeps stay in-process
             jobs = 1
-        if jobs == 1 and self.engine == "vectorized":
+        if jobs == 1:
             # serial in-process: run the points against one flushed
             # hierarchy — the retained matrix allocation makes each
             # point's warm-up passes cheap
@@ -256,9 +206,7 @@ class CacheProbe:
         warmup = self.budget["warmup_passes"]
         tasks = [(self.device, kib, iters, warmup)
                  for kib in sizes_kib]
-        fn = _capacity_point if self.engine == "vectorized" \
-            else _capacity_point_scalar
-        if self.engine == "vectorized" and sizes_kib:
+        if sizes_kib:
             # size the reusable hierarchy for the largest point up
             # front instead of re-growing through the sweep
             mh = self._hierarchy()
@@ -266,7 +214,7 @@ class CacheProbe:
             mh.l1_for_sm(0).reserve_span(span)
             mh.l2.reserve_span(span)
         with self._span("capacity_sweep", len(tasks), iters):
-            return dict(self._map(fn, tasks, jobs))
+            return dict(self._map(_capacity_point, tasks, jobs))
 
     def detect_l1_capacity(self, *, lo_kib: int = 16,
                            hi_kib: int = 1024) -> int:
@@ -300,14 +248,11 @@ class CacheProbe:
             iters = self.budget["stride_iters"]
         tasks = [(self.device, stride, array_kib, iters)
                  for stride in strides]
-        fn = _stride_point if self.engine == "vectorized" \
-            else _stride_point_scalar
-        if self.engine == "vectorized":
-            mh = self._hierarchy()
-            mh.l1_for_sm(0).reserve_span(array_kib * 1024)
-            mh.l2.reserve_span(array_kib * 1024)
+        mh = self._hierarchy()
+        mh.l1_for_sm(0).reserve_span(array_kib * 1024)
+        mh.l2.reserve_span(array_kib * 1024)
         with self._span("stride_sweep", len(tasks), iters):
-            return dict(self._map(fn, tasks, jobs))
+            return dict(self._map(_stride_point, tasks, jobs))
 
     def detect_sector_bytes(self) -> int:
         """Smallest stride at which every access misses L1 on first
@@ -332,8 +277,6 @@ class CacheProbe:
         point arrives within a few laps, so almost the whole budget
         is accounted analytically.
         """
-        if self.engine == "scalar":
-            return self.conflict_sweep_scalar(ways_range, iters)
         if iters is None:
             iters = self.budget["conflict_iters"]
         warmup = 1 + self.budget["warmup_passes"]
@@ -352,31 +295,6 @@ class CacheProbe:
                 eng = ChaseEngine(mh, size=32)
                 eng.run(seq, warmup * w)     # warm pass(es)
                 out[w] = eng.run(seq, iters).mean_latency_clk
-        return out
-
-    def conflict_sweep_scalar(self, ways_range: List[int],
-                              iters: Optional[int] = None) \
-            -> Dict[int, float]:
-        """Scalar reference for :meth:`conflict_sweep` (the
-        executable spec)."""
-        if iters is None:
-            iters = self.budget["conflict_iters"]
-        warmup = 1 + self.budget["warmup_passes"]
-        set_stride = self._conflict_set_stride()
-        out = {}
-        with self._span("conflict_sweep", len(ways_range), iters):
-            for w in ways_range:
-                mh = MemoryHierarchy(self.device)
-                addrs = [i * set_stride for i in range(w)]
-                mh.warm_tlb(0, addrs[-1] + 128)
-                for _ in range(warmup):      # warm pass(es)
-                    for a in addrs:
-                        mh.load(a, 32, sm_id=0)
-                lats = np.empty(iters)
-                for i in range(iters):
-                    lats[i] = mh.load(addrs[i % w], 32,
-                                      sm_id=0).latency_clk
-                out[w] = chase_total_clk(latency_counts(lats)) / iters
         return out
 
     def _conflict_set_stride(self) -> int:

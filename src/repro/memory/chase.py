@@ -31,8 +31,9 @@ TLB hit/miss totals and the active :class:`ObsSession` counter bank
 all advance by ``k ×`` the confirming lap's delta — and simulates
 only the final partial lap, which by the same equivalence argument
 is exact.  Nothing about the result is approximate; the scalar chase
-loops are preserved as executable specs (``*_scalar``) and property
-tests assert exact cycle totals and counter-bank equality.
+loop is preserved as the executable spec in
+``tests/reference/chase.py`` and property tests assert exact cycle
+totals and counter-bank equality against it.
 
 Summed cycles are computed with :func:`chase_total_clk` — a
 count-weighted sum over the distinct latency values in ascending

@@ -6,9 +6,9 @@ hits/misses/evictions per level, SM issue and stall slots, bytes moved
 per memory path, tensor-core MAC counts), :mod:`repro.obs.trace` is
 the span/event tracer with Chrome-trace/Perfetto export, and
 :mod:`repro.obs.session` binds both to a run — activated by the
-``--counters``/``--trace`` CLI flags and the ``hopperdissect stats``
-subcommand, aggregated deterministically across the process-pool
-runner.
+``--counters``/``--metrics``/``--trace`` CLI flags and the
+``hopperdissect stats`` subcommand, aggregated deterministically
+across the process-pool runner.
 
 On top of the bank sit three derived planes:
 :mod:`repro.obs.export` renders the per-experiment labeled banks to

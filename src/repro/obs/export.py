@@ -1,9 +1,9 @@
 """Metrics export — OpenMetrics text and labeled counters/v2 JSON.
 
-The counter bank's native dump (``hopperdissect.counters/v1``) is a
-flat name→int map: perfect for diffing, useless for a metrics
-backend, which wants *labels*.  This module renders the session's
-per-experiment counter banks into the two standard shapes:
+The counter bank itself is a flat name→int map: perfect for diffing,
+useless for a metrics backend, which wants *labels*.  This module
+renders the session's per-experiment counter banks into the two
+standard shapes — the only export formats the session writes:
 
 * **OpenMetrics / Prometheus text exposition** —
   :func:`render_openmetrics`.  Counter names become metric names
@@ -19,8 +19,8 @@ per-experiment counter banks into the two standard shapes:
 * **``hopperdissect.counters/v2``** — :func:`render_counters_v2`, the
   labeled JSON form: the same per-experiment banks keyed by
   experiment name, with the run-level labels and context token
-  alongside.  The v1 shape (``ObsSession.write_counters_json``) stays
-  as the flat, lexically sorted legacy format.
+  alongside.  The experiment banks plus ``orchestration`` sum to the
+  flat bank exactly, so the document loses no counter.
 
 Both renderings are canonical: experiments sort by name, counters by
 :func:`~repro.obs.counters.counter_sort_key` (histogram buckets
@@ -50,8 +50,7 @@ __all__ = [
     "load_counters_v2",
 ]
 
-#: schema tag of the labeled JSON form; the flat legacy form is
-#: ``hopperdissect.counters/v1`` (see ``ObsSession.COUNTERS_SCHEMA``)
+#: schema tag of the labeled JSON form
 COUNTERS_V2_SCHEMA = "hopperdissect.counters/v2"
 
 #: every exported metric name starts with this (OpenMetrics convention

@@ -24,6 +24,12 @@ Wiring into the experiment stack:
 Sessions activate as context managers and nest (the previous session
 is restored on exit), so a worker-side session composes with a
 CLI-level one.
+
+A session leaves the process in one of two labeled shapes — the
+``hopperdissect.counters/v2`` JSON document (:meth:`write_counters_v2`)
+or OpenMetrics text (:meth:`write_openmetrics`), both rendered by
+:mod:`repro.obs.export` — or as the flat counter table
+(:meth:`render_counters`) for humans.
 """
 
 from __future__ import annotations
@@ -197,44 +203,6 @@ class ObsSession:
         return self.counters_table().render()
 
     # -- counter output -----------------------------------------------------
-
-    #: schema tag stamped into :meth:`write_counters_json` payloads;
-    #: bump the ``/vN`` suffix on breaking shape changes
-    COUNTERS_SCHEMA = "hopperdissect.counters/v1"
-
-    def write_counters_json(self, path, *,
-                            context: Optional[Any] = None) -> str:
-        """Serialize the counter bank as machine-readable JSON.
-
-        The payload is canonical (sorted keys, fixed separators), so
-        equal counter states produce byte-identical files — diffable
-        in CI and stable under serial/parallel regrouping::
-
-            {"schema": "hopperdissect.counters/v1",
-             "context": "A100,H800/seed0/fast" | null,
-             "counters": {"exp.completed": 3, ...}}
-
-        ``context`` may be a :class:`~repro.core.context.RunContext`
-        (its token is recorded) or ``None``.  Returns the written
-        path.  ``benchmarks/validate_counters.py`` checks this shape.
-        """
-        import json
-
-        token = None
-        if context is not None:
-            token = context.token() if hasattr(context, "token") \
-                else str(context)
-        payload = {
-            "schema": self.COUNTERS_SCHEMA,
-            "context": token,
-            "counters": self.counters.as_dict(),
-        }
-        path = str(path)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True,
-                      separators=(",", ":"))
-            fh.write("\n")
-        return path
 
     def _labeled_banks(self) -> Dict[str, Dict[str, int]]:
         """Every labeled bank plus the orchestration remainder under

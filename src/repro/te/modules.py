@@ -84,8 +84,8 @@ class Module:
     # ``op_seconds_grid`` is the vectorized twin of ``op_costs``: the
     # same operator names in the same order, each priced over a whole
     # array of token counts in one NumPy pass.  The scalar walk above
-    # stays as the reference implementation the grid is property-tested
-    # against (tests/test_vectorized_equivalence.py).
+    # stays as the reference the grid is property-tested against
+    # (tests/reference/te.py, tests/test_vectorized_equivalence.py).
 
     def op_seconds_grid(self, cost_model: CostModel, tokens,
                         precision: Precision, **kw) -> OpSecondsGrid:
@@ -101,16 +101,6 @@ class Module:
             # the scalar sum() over op_costs
             total = total + s
         return total
-
-    def seconds_grid_scalar(self, cost_model: CostModel, tokens,
-                            precision: Precision, **kw) -> np.ndarray:
-        """Reference: price every grid point through the scalar
-        ``op_costs`` walk (slow; exists to cross-check the grid)."""
-        tokens = np.asarray(tokens)
-        flat = [sum(o.seconds for o in
-                    self.op_costs(cost_model, int(t), precision, **kw))
-                for t in tokens.ravel()]
-        return np.array(flat).reshape(tokens.shape)
 
 
 def _working_quantize(x: np.ndarray, precision: Precision) -> np.ndarray:

@@ -27,6 +27,13 @@ Three mechanisms, composed:
    cost exactly ``2048 B / 128 B/clk = 16`` cycles — which is
    precisely the 144-vs-128 cycle latency split of Table IX, for every
    data type.
+
+:class:`TensorCoreTimingModel` prices one instruction at a time
+(``mma``/``wgmma``) or a whole grid in one NumPy pass
+(``mma_sweep``/``wgmma_sweep``).  The per-instruction pricing is the
+reference the sweeps are held to, so unlike the memory and TE fast
+paths (whose scalar twins live in ``tests/reference/``) it needs no
+separate copy.
 """
 
 from __future__ import annotations
@@ -95,7 +102,6 @@ __all__ = [
     "SweepEntry",
     "MmaSweep",
     "WgmmaSweep",
-    "ScalarTensorCoreTimingModel",
     "TensorCoreTimingModel",
 ]
 
@@ -377,15 +383,18 @@ class WgmmaTiming:
         )
 
 
-class ScalarTensorCoreTimingModel:
-    """Per-instruction reference factory.
+class TensorCoreTimingModel:
+    """The timing model: per-instruction pricing plus NumPy-batched
+    :meth:`mma_sweep`/:meth:`wgmma_sweep` fast paths that price a
+    whole Table VII–X grid in one pass.
 
-    This is the original (pre-vectorization) implementation: every
-    call prices exactly one instruction through the
-    :class:`MmaTiming`/:class:`WgmmaTiming` dataclasses.  It is kept
-    as the executable specification the batched
-    :class:`TensorCoreTimingModel` sweeps are property-tested against
-    (``tests/test_vectorized_equivalence.py``).
+    :meth:`mma`/:meth:`wgmma` price exactly one instruction through
+    the :class:`MmaTiming`/:class:`WgmmaTiming` dataclasses; they are
+    also the reference the sweeps are property-tested against
+    (``tests/test_vectorized_equivalence.py``).  The sweeps are
+    render-identical to them — every elementwise operation mirrors
+    the dataclasses in the same order — and feed the same ``tc.*``
+    observability counters in batched form.
     """
 
     def __init__(self, device: DeviceSpec) -> None:
@@ -396,6 +405,13 @@ class ScalarTensorCoreTimingModel:
 
     def wgmma(self, instr: WgmmaInstruction) -> WgmmaTiming:
         return WgmmaTiming(self.device, instr)
+
+    def mma_sweep(self, instrs: Sequence[MmaInstruction]) -> MmaSweep:
+        return MmaSweep(self.device, instrs)
+
+    def wgmma_sweep(self,
+                    instrs: Sequence[WgmmaInstruction]) -> WgmmaSweep:
+        return WgmmaSweep(self.device, instrs)
 
     def best_dense_tflops(self, ab: DType, cd: DType) -> float:
         """Best achievable dense throughput for a type pair on this
@@ -668,22 +684,3 @@ def _wgmma_ss_stall_array(n: np.ndarray) -> np.ndarray:
     small = np.minimum(4.0 + n / 8.0, 8.0)
     mid = 8.0 * (64 - n) / 32.0
     return np.where(n >= 64, 0.0, np.where(n <= 32, small, mid))
-
-
-class TensorCoreTimingModel(ScalarTensorCoreTimingModel):
-    """The production timing model: per-instruction pricing plus
-    NumPy-batched :meth:`mma_sweep`/:meth:`wgmma_sweep` fast paths
-    that price a whole Table VII–X grid in one pass.
-
-    The sweeps are render-identical to the scalar reference — every
-    elementwise operation mirrors :class:`MmaTiming`/
-    :class:`WgmmaTiming` in the same order — and feed the same
-    ``tc.*`` observability counters in batched form.
-    """
-
-    def mma_sweep(self, instrs: Sequence[MmaInstruction]) -> MmaSweep:
-        return MmaSweep(self.device, instrs)
-
-    def wgmma_sweep(self,
-                    instrs: Sequence[WgmmaInstruction]) -> WgmmaSweep:
-        return WgmmaSweep(self.device, instrs)

@@ -7,8 +7,8 @@ vectorized implementation in :mod:`repro.memory.cache`.  The property
 tests in ``tests/test_memory_cache.py`` drive both models with the
 same random access streams and assert access-for-access equivalence.
 
-Do not use this class on hot paths — it exists to be obviously
-correct, not fast.
+It lives with the tests because nothing in the package runs it — it
+exists to be obviously correct, not fast.
 """
 
 from __future__ import annotations

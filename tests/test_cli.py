@@ -201,8 +201,20 @@ class TestContextFlags:
         assert entries[0]["label"].startswith("devices=")
 
 
+def _flat_bank(payload):
+    """Sum a counters/v2 document's experiment banks and
+    ``orchestration`` back into the session's flat counter bank."""
+    flat = {}
+    for bank in (*payload["experiments"].values(),
+                 payload["orchestration"]):
+        for name, value in bank.items():
+            flat[name] = flat.get(name, 0) + value
+    return flat
+
+
 class TestCountersJson:
-    """``--counters-json`` writes the hopperdissect.counters/v1 dump."""
+    """``--metrics PATH.json`` writes the hopperdissect.counters/v2
+    counter dump."""
 
     @staticmethod
     def _validator():
@@ -218,24 +230,29 @@ class TestCountersJson:
 
     def test_run_writes_schema_valid_dump(self, tmp_path, capsys):
         import json
+
+        from repro.obs import counter_sort_key
         out = tmp_path / "counters.json"
         assert main(["run", "table07_mma", "--no-cache",
-                     "--counters-json", str(out)]) == 0
+                     "--metrics", str(out)]) == 0
         assert f"wrote {out}" in capsys.readouterr().out
         payload = json.loads(out.read_text())
-        assert payload["schema"] == "hopperdissect.counters/v1"
+        assert payload["schema"] == "hopperdissect.counters/v2"
         assert payload["context"] == (
             "devices=RTX4090,A100,H800;seed=0;fidelity=fast")
-        assert payload["counters"]["exp.completed"] == 1
-        assert payload["counters"]["tc.mma.instructions"] > 0
-        # keys arrive sorted (canonical form)
-        names = list(payload["counters"])
-        assert names == sorted(names)
+        counters = _flat_bank(payload)
+        assert counters["exp.completed"] == 1
+        assert counters["tc.mma.instructions"] > 0
+        # every bank arrives in canonical counter order
+        for bank in (*payload["experiments"].values(),
+                     payload["orchestration"]):
+            names = list(bank)
+            assert names == sorted(names, key=counter_sort_key)
 
     def test_dump_passes_the_schema_validator(self, tmp_path):
         out = tmp_path / "counters.json"
         assert main(["run", "table03_devices", "--no-cache",
-                     "--counters-json", str(out)]) == 0
+                     "--metrics", str(out)]) == 0
         mod = self._validator()
         assert mod.validate(out) >= 1
 
@@ -245,26 +262,29 @@ class TestCountersJson:
         mod = self._validator()
         bad = tmp_path / "bad.json"
 
+        def v2(schema="hopperdissect.counters/v2", bank=None):
+            return {"schema": schema, "context": None, "labels": {},
+                    "experiments": {"e": bank or {}},
+                    "orchestration": {}}
+
         def canonical(payload):
             bad.write_text(json.dumps(
-                payload, sort_keys=True,
-                separators=(",", ":")) + "\n")
+                payload, separators=(",", ":")) + "\n")
 
-        canonical({"schema": "hopperdissect.counters/v0",
-                   "context": None, "counters": {}})
+        canonical(v2(schema="hopperdissect.counters/v0"))
         with pytest.raises(ValueError, match="schema"):
             mod.validate(Path(bad))
         canonical({"schema": "hopperdissect.counters/v1",
-                   "context": None, "counters": {"x": -1}})
+                   "context": None, "counters": {}})
+        with pytest.raises(ValueError, match="unknown schema"):
+            mod.validate(Path(bad))
+        canonical(v2(bank={"x": -1}))
         with pytest.raises(ValueError, match="non-monotonic"):
             mod.validate(Path(bad))
-        canonical({"schema": "hopperdissect.counters/v1",
-                   "context": None, "counters": {"x": 1.5}})
+        canonical(v2(bank={"x": 1.5}))
         with pytest.raises(ValueError, match="non-integer"):
             mod.validate(Path(bad))
-        bad.write_text(json.dumps(
-            {"counters": {}, "context": None,
-             "schema": "hopperdissect.counters/v1"}, indent=2))
+        bad.write_text(json.dumps(v2(), indent=2))
         with pytest.raises(ValueError, match="canonical"):
             mod.validate(Path(bad))
 
@@ -272,7 +292,7 @@ class TestCountersJson:
         import json
         out = tmp_path / "counters.json"
         assert main(["run", "table04_mem_latency", "--no-cache",
-                     "--devices", "A100", "--counters-json",
+                     "--devices", "A100", "--metrics",
                      str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["context"].startswith("devices=A100")
@@ -281,10 +301,10 @@ class TestCountersJson:
         import json
         out = tmp_path / "stats_counters.json"
         assert main(["stats", "table07_mma",
-                     "--counters-json", str(out)]) == 0
+                     "--metrics", str(out)]) == 0
         assert f"wrote {out}" in capsys.readouterr().out
         payload = json.loads(out.read_text())
-        assert payload["counters"]["tc.mma.instructions"] > 0
+        assert _flat_bank(payload)["tc.mma.instructions"] > 0
 
     def test_dump_is_deterministic_across_jobs(self, tmp_path):
         # serial and parallel regroupings sum to identical banks
@@ -292,7 +312,7 @@ class TestCountersJson:
         for path, jobs in ((a, "1"), (b, "2")):
             assert main(["run", "table07_mma", "table06_sass",
                          "--no-cache", "-j", jobs,
-                         "--counters-json", str(path)]) == 0
+                         "--metrics", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -326,9 +346,9 @@ class TestFuzzCli:
         import json
         out = tmp_path / "fuzz_counters.json"
         assert main(["fuzz", "--seed", "2026", "--budget", "4",
-                     "--counters-json", str(out)]) == 0
+                     "--metrics", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["counters"]["fuzz.scenarios"] == 4
+        assert _flat_bank(payload)["fuzz.scenarios"] == 4
 
     def test_fuzz_unknown_device_exits_two(self, capsys):
         assert main(["fuzz", "--device", "H801",

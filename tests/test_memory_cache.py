@@ -185,7 +185,7 @@ class TestScalarEquivalence:
         )
     )
     def test_access_stream_equivalence(self, stream):
-        from repro.memory import ScalarSetAssociativeCache
+        from reference.cache import ScalarSetAssociativeCache
 
         vec = small_cache()
         ref = ScalarSetAssociativeCache(
@@ -226,7 +226,7 @@ class TestScalarEquivalence:
         """The ascending single-sector stream (the warm/init-pass
         shape) takes the closed-form bulk path; the scalar model is
         the ground truth for it."""
-        from repro.memory import ScalarSetAssociativeCache
+        from reference.cache import ScalarSetAssociativeCache
 
         base = (base // 32) * 32
         size = n_sectors * 32
@@ -259,7 +259,7 @@ class TestScalarEquivalence:
         regime, where LRU keeps only the tail of each set) leave
         *exactly* the state the scalar model leaves — including the
         recency stamps later evictions decide on."""
-        from repro.memory import ScalarSetAssociativeCache
+        from reference.cache import ScalarSetAssociativeCache
 
         base = (base // 32) * 32
         size = n_sectors * 32
@@ -358,7 +358,7 @@ class TestPrefixGrowth:
     @given(st.lists(st.integers(min_value=0, max_value=1 << 22),
                     min_size=1, max_size=80))
     def test_large_cache_matches_scalar_reference(self, addrs):
-        from repro.memory import ScalarSetAssociativeCache
+        from reference.cache import ScalarSetAssociativeCache
 
         vec = SetAssociativeCache(1 << 20, line_bytes=128,
                                   sector_bytes=32, ways=2, name="big")

@@ -8,14 +8,13 @@ same latency histogram, summed cycles, level counts, TLB hits,
 one-``load()``-at-a-time loop it replaced.  This suite makes that
 claim a property over random chains, strides, cache operators and
 iteration budgets, and pins the :class:`~repro.memory.pchase.PChase`
-probes against their preserved ``*_scalar`` executable specs.
+probes against the scalar reference in ``tests/reference/chase.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,12 +26,14 @@ from repro.fuzz.strategies import (
     chase_seeds,
     chase_strides,
 )
-from repro.isa.memory_ops import CacheOp
 from repro.memory import MemoryHierarchy, PChase
 from repro.memory.chase import (ChaseEngine, chase_total_clk,
                                 latency_counts)
 from repro.memory.pchase import _chain_order, measure_latencies
 from repro.obs.session import ObsSession
+
+from reference.chase import (ScalarPChase, measure_latencies_scalar,
+                             scalar_chase)
 
 
 def _tiny_device():
@@ -48,20 +49,6 @@ _TINY = _tiny_device()
 #: strides giving line-grained, page-straddling and page-per-entry
 #: walks (shared with the fuzzer's property strategies)
 _STRIDES = chase_strides
-
-
-def _scalar_chase(mh, seq, iters, *, size=32, cache_op=CacheOp.CACHE_ALL):
-    """The executable spec: hop the periodic stream one load at a time."""
-    lats = np.empty(iters)
-    levels = {}
-    tlb_hits = 0
-    period = len(seq)
-    for i in range(iters):
-        r = mh.load(int(seq[i % period]), size, cache_op=cache_op)
-        lats[i] = r.latency_clk
-        levels[r.level] = levels.get(r.level, 0) + 1
-        tlb_hits += r.tlb_hit
-    return lats, levels, tlb_hits
 
 
 def _counter_bank(mh):
@@ -90,8 +77,8 @@ class TestEngineEquivalence:
         stats = ChaseEngine(mh_v, size=32, cache_op=op).run(seq, iters)
 
         mh_s = MemoryHierarchy(_TINY)
-        lats, levels, tlb_hits = _scalar_chase(mh_s, seq, iters,
-                                               cache_op=op)
+        lats, levels, tlb_hits = scalar_chase(mh_s, seq, iters,
+                                              cache_op=op)
 
         # outcomes: exact, including bit-equal summed cycles
         assert stats.latency_counts == latency_counts(lats)
@@ -114,7 +101,7 @@ class TestEngineEquivalence:
         assert stats.extrapolated > 0
 
         mh_s = MemoryHierarchy(_TINY)
-        lats, levels, tlb_hits = _scalar_chase(mh_s, seq, 5000)
+        lats, levels, tlb_hits = scalar_chase(mh_s, seq, 5000)
         assert stats.latency_counts == latency_counts(lats)
         assert stats.level_counts == levels
         assert stats.tlb_hits == tlb_hits
@@ -132,7 +119,7 @@ class TestEngineEquivalence:
 
         s_sess = ObsSession()
         with s_sess.activate():
-            _scalar_chase(MemoryHierarchy(_TINY), seq, iters)
+            scalar_chase(MemoryHierarchy(_TINY), seq, iters)
 
         v_sess = ObsSession()
         with v_sess.activate():
@@ -176,7 +163,7 @@ class TestPChaseEngineParity:
             ("global_latency_cold_tlb", dict(iters=128)),
         ]
         vec = PChase(tiny_device, seed=seed)
-        ref = PChase(tiny_device, seed=seed, engine="scalar")
+        ref = ScalarPChase(tiny_device, seed=seed)
         for method, kwargs in probes:
             v = getattr(vec, method)(**kwargs)
             s = getattr(ref, method)(**kwargs)
@@ -188,9 +175,4 @@ class TestPChaseEngineParity:
     def test_measure_latencies_engine_parity(self, seed):
         device = get_device("A100")
         assert measure_latencies(device, fast=True, seed=seed) == \
-            measure_latencies(device, fast=True, seed=seed,
-                              engine="scalar")
-
-    def test_unknown_engine_rejected(self, tiny_device):
-        with pytest.raises(ValueError, match="unknown engine"):
-            PChase(tiny_device, engine="turbo")
+            measure_latencies_scalar(device, fast=True, seed=seed)

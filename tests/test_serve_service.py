@@ -385,7 +385,7 @@ class TestServeCli:
             counters = tmp_path / f"{tag}.counters.json"
             metrics = tmp_path / f"{tag}.om.txt"
             assert main(["serve", "-i", str(batch), "-o", str(out),
-                         "--counters-json", str(counters),
+                         "--metrics", str(counters),
                          "--metrics", str(metrics), *flags]) == 0
             outs[tag] = (out.read_bytes(), counters.read_bytes(),
                          metrics.read_bytes())
