@@ -639,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("-j", "--jobs", type=int, default=1,
                         metavar="N",
                         help="check scenarios on N processes "
-                             "(work-stealing pool; results and "
+                             "(one scenario per pool task; results and "
                              "counter dumps match --jobs 1)")
     fuzz_p.add_argument("--device", "--devices", dest="devices",
                         action="append", default=None,
@@ -668,8 +668,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from repro.perf.cache import EntryBoundError
+
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except EntryBoundError as exc:
+        print(f"hopperdissect: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

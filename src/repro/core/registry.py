@@ -198,18 +198,17 @@ def run_all(*, jobs: int = 1, cache=None,
         -> Dict[str, ExperimentResult]:
     """Run every registered experiment (the EXPERIMENTS.md generator).
 
-    ``jobs > 1`` fans the builders out over a process pool and
-    ``cache`` (a :class:`repro.perf.ResultCache`) serves previously
-    computed results; both are wall-time-only knobs — the returned
-    mapping is identical to the serial uncached run, in
+    Goes through :func:`repro.perf.runner.run_experiments`, so every
+    experiment runs under its own nested counter session when one is
+    active.  ``jobs > 1`` fans the builders out over a process pool
+    and ``cache`` (a :class:`repro.perf.ResultCache`) serves
+    previously computed results; both are wall-time-only knobs — the
+    returned mapping is identical to the serial uncached run, in
     :func:`list_experiments` order.  A restrictive ``context`` drops
     experiments pinned to devices outside its sweep.
     """
-    ctx = DEFAULT_CONTEXT if context is None else context
-    names = supported_experiments(ctx)
-    if jobs <= 1 and cache is None:
-        return {name: run_experiment(name, ctx) for name in names}
     from repro.perf.runner import run_experiments
 
-    return run_experiments(names, jobs=jobs, cache=cache,
-                           context=ctx).results
+    ctx = DEFAULT_CONTEXT if context is None else context
+    return run_experiments(supported_experiments(ctx), jobs=jobs,
+                           cache=cache, context=ctx).results

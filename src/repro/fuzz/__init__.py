@@ -15,7 +15,7 @@ Layout:
 * :mod:`repro.fuzz.oracle` — the invariant oracle
 * :mod:`repro.fuzz.shrink` — ddmin-style minimization + repro files
 * :mod:`repro.fuzz.driver` — the streaming fuzz loop
-  (work-stealing pool dispatch, deterministic re-merge)
+  (ordered process-pool fan-out, streamed in scenario order)
 * :mod:`repro.fuzz.strategies` — shared Hypothesis strategies for the
   property-test suites.  **Not** imported here: Hypothesis is a
   dev-only dependency, and everything the runtime fuzzer needs is

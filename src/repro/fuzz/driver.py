@@ -1,21 +1,20 @@
 """The streaming fuzz loop.
 
 ``run_fuzz`` generates scenarios from ``(seed, index)``, fans the
-checks over a work-stealing pool
-(:func:`repro.perf.runner.parallel_imap` — ``imap_unordered`` under
-the hood, so thousands of small scenario checks saturate the workers
-regardless of per-scenario cost skew), and **streams** the results:
-violations and ``fuzz.*`` counters accumulate incrementally through a
-bounded reorder window instead of materializing every result object.
+checks out through :func:`repro.perf.runner.parallel_map` (one
+scenario per pool task, so thousands of small checks keep every
+worker busy whatever the per-scenario cost skew), and **streams** the
+results: violations and ``fuzz.*`` counters accumulate incrementally,
+in scenario-index order, as the ordered fan-out yields them instead of
+materializing every result object.
 
 Determinism is the point, so the recipe mirrors the experiment
 runner's: each scenario is checked under a fresh nested
 :class:`~repro.obs.ObsSession` (in-process for serial runs, in the
 worker otherwise) and ships its counter delta back; the parent merges
 deltas — and fires its own ``fuzz.*`` aggregates — strictly in
-scenario-index order no matter which worker finished first.  A serial
-run and a ``--jobs N`` run therefore produce byte-identical violation
-lists *and* counter dumps.
+scenario-index order.  A serial run and a ``--jobs N`` run therefore
+produce byte-identical violation lists *and* counter dumps.
 
 Violating scenarios are shrunk (in the parent, after the sweep — the
 violation list is already deterministic by then) and written as
@@ -33,12 +32,12 @@ from repro.fuzz.generator import Scenario, ScenarioGenerator
 from repro.fuzz.oracle import ScenarioReport, Violation, check_scenario
 from repro.fuzz.shrink import shrink_scenario, write_repro
 from repro.obs import session as _obs
-from repro.obs.session import ObsSession
+from repro.obs.session import isolated
 
 __all__ = ["FuzzReport", "run_fuzz"]
 
-#: one scenario check's transport form: (scenario payload, obs?)
-_Task = Tuple[Dict[str, Any], Optional[Dict[str, Any]]]
+#: one scenario check's transport form: (scenario payload, obs?, trace?)
+_Task = Tuple[Dict[str, Any], bool, bool]
 
 
 def _check_one(task: _Task) \
@@ -51,16 +50,10 @@ def _check_one(task: _Task) \
     function in-process, which is what keeps the two modes
     byte-identical.
     """
-    payload, obs_cfg = task
-    scenario = Scenario.from_payload(payload)
-    if obs_cfg is not None:
-        session = ObsSession(trace=bool(obs_cfg.get("trace")))
-        with session.activate():
-            report = check_scenario(scenario)
-        dump = session.dump()
-    else:
-        report = check_scenario(scenario)
-        dump = None
+    payload, obs, trace = task
+    report, dump = isolated(check_scenario,
+                            Scenario.from_payload(payload),
+                            obs=obs, trace=trace)
     return report.to_payload(), dump
 
 
@@ -151,7 +144,7 @@ def run_fuzz(
     active session's counter bank — is identical for ``jobs=1`` and
     ``jobs=N``.
     """
-    from repro.perf.runner import parallel_imap
+    from repro.perf.runner import parallel_map
 
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -167,32 +160,18 @@ def run_fuzz(
         return tracer.span(label, cat="fuzz", tid="fuzz",
                            args=args or None)
 
-    obs_cfg = ({"trace": tracer is not None}
-               if sess is not None else None)
     with _span("fuzz.generate", budget=budget):
         tasks: List[_Task] = [
-            (gen.scenario(i).to_payload(), obs_cfg)
+            (gen.scenario(i).to_payload(), sess is not None,
+             tracer is not None)
             for i in range(budget)
         ]
 
     agg = _Aggregator(report, sess)
-    # bounded reorder window: results stream in completion order from
-    # the work-stealing pool and are consumed in index order, holding
-    # back only what arrived early
-    pending: Dict[int, Tuple[Dict[str, Any],
-                             Optional[Dict[str, Any]]]] = {}
-    next_index = 0
     with _span("fuzz.dispatch", jobs=max(1, jobs),
                scenarios=len(tasks)):
-        for index, outcome in parallel_imap(_check_one, tasks,
-                                            jobs=jobs):
-            pending[index] = outcome
-            while next_index in pending:
-                payload, dump = pending.pop(next_index)
-                agg.consume(ScenarioReport.from_payload(payload),
-                            dump)
-                next_index += 1
-    assert not pending and next_index == len(tasks)
+        for payload, dump in parallel_map(_check_one, tasks, jobs=jobs):
+            agg.consume(ScenarioReport.from_payload(payload), dump)
 
     if report.violations and (shrink or repro_dir is not None):
         with _span("fuzz.shrink",

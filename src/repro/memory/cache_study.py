@@ -23,15 +23,16 @@ the whole point of P-chase — but it is resolved on the steady-state
 :class:`~repro.memory.chase.ChaseEngine`: whole periods run through
 the batched cache paths and repeated periods are accounted
 analytically, with results exactly equal (cycles and counters) to the
-one-``load()``-per-hop loop in ``tests/reference/chase.py``.  A point
-is cheap enough that the :func:`repro.perf.parallel_map` process-pool
-fan-out (``jobs > 1``) is an option rather than a necessity.
+one-``load()``-per-hop loop in ``tests/reference/chase.py``.  The
+points run in-process, one after another, against one reusable
+hierarchy that is flushed between them: a point is a few milliseconds,
+far below what a process-pool round trip costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -75,18 +76,13 @@ def capacity_sweep_sizes(lo_kib: int = 16,
     return sizes
 
 
-def _capacity_point(task: Tuple[DeviceSpec, int, int, int],
-                    mh: Optional[MemoryHierarchy] = None) \
-        -> Tuple[int, float]:
-    """One capacity-sweep point (module-level: pool workers pickle it),
-    resolved on the steady-state engine.  ``mh`` lets a serial caller
-    reuse one flushed hierarchy across points (a flush is behaviourally
-    a fresh hierarchy but keeps the grown cache matrices)."""
-    device, kib, iters, warmup = task
-    if mh is None:
-        mh = MemoryHierarchy(device)
-    else:
-        mh.flush()
+def _capacity_point(mh: MemoryHierarchy, kib: int, iters: int,
+                    warmup: int) -> float:
+    """Mean latency of one capacity-sweep point, resolved on the
+    steady-state engine against ``mh`` after a flush (a flush is
+    behaviourally a fresh hierarchy but keeps the grown cache
+    matrices)."""
+    mh.flush()
     size = kib * 1024
     mh.warm_l1(0, 0, size)
     mh.warm_tlb(0, size)
@@ -95,27 +91,21 @@ def _capacity_point(task: Tuple[DeviceSpec, int, int, int],
     eng = ChaseEngine(mh, size=32)
     if warmup:                     # extra steady-state chase passes
         eng.run(seq, warmup * n)
-    return kib, eng.run(seq, iters).mean_latency_clk
+    return eng.run(seq, iters).mean_latency_clk
 
 
-def _stride_point(task: Tuple[DeviceSpec, int, int, int],
-                  mh: Optional[MemoryHierarchy] = None) \
-        -> Tuple[int, float]:
-    """One stride-sweep point (module-level: pool workers pickle it),
-    resolved on the steady-state engine.  ``mh`` as in
+def _stride_point(mh: MemoryHierarchy, stride: int, array_kib: int,
+                  iters: int) -> float:
+    """Mean latency of one stride-sweep point, as
     :func:`_capacity_point`."""
-    device, stride, array_kib, iters = task
+    mh.flush()
     size = array_kib * 1024
-    if mh is None:
-        mh = MemoryHierarchy(device)
-    else:
-        mh.flush()
     mh.warm_tlb(0, size)
     mh.warm_l2(0, size)
     n = size // stride
     seq = np.arange(n, dtype=np.int64) * stride
     eng = ChaseEngine(mh, size=4, cache_op=CacheOp.CACHE_ALL)
-    return stride, eng.run(seq, iters).mean_latency_clk
+    return eng.run(seq, iters).mean_latency_clk
 
 
 @dataclass(frozen=True)
@@ -130,54 +120,32 @@ class DetectedParameters:
 class CacheProbe:
     """P-chase-style parameter detection bound to one device.
 
-    ``jobs`` is the default process fan-out of the point sweeps; each
-    sweep also takes an explicit ``jobs`` override.  ``fidelity``
-    selects a :data:`PROBE_BUDGETS` tier — ``full`` runs longer chases
-    with steady-state warmup passes before every measured loop.
+    ``fidelity`` selects a :data:`PROBE_BUDGETS` tier — ``full`` runs
+    longer chases with steady-state warmup passes before every
+    measured loop.
     """
 
-    def __init__(self, device: DeviceSpec, *, jobs: int = 1,
+    def __init__(self, device: DeviceSpec, *,
                  fidelity: str = "fast") -> None:
         if fidelity not in PROBE_BUDGETS:
             raise ValueError(
                 f"unknown fidelity {fidelity!r}; "
                 f"expected one of {sorted(PROBE_BUDGETS)}")
         self.device = device
-        self.jobs = max(1, jobs)
         self.fidelity = fidelity
         self.budget = PROBE_BUDGETS[fidelity]
         self._mh: Optional[MemoryHierarchy] = None
 
     def _hierarchy(self) -> MemoryHierarchy:
-        """One reusable hierarchy for serial in-process sweeps.
-        Rebuilt if the observability sink changed (a session started
-        or ended since it was made) so counters land in the right
-        bank."""
+        """One reusable hierarchy for every sweep point.  Rebuilt if
+        the observability sink changed (a session started or ended
+        since it was made) so counters land in the right bank."""
         from repro.obs.session import counters_or_null
 
         sink = counters_or_null()
         if self._mh is None or self._mh._obs is not sink:
             self._mh = MemoryHierarchy(self.device)
         return self._mh
-
-    def _map(self, fn, tasks, jobs: int):
-        # lazy import: repro.perf imports repro.core, which imports the
-        # experiment modules, which import this one
-        from repro.perf.runner import parallel_map
-
-        jobs = self.jobs if jobs is None else jobs
-        if _obs.ACTIVE is not None:
-            # pool workers have no session, so their loads would drop
-            # out of the counter bank and serial/parallel dumps would
-            # diverge; under observability the sweeps stay in-process
-            jobs = 1
-        if jobs == 1:
-            # serial in-process: run the points against one flushed
-            # hierarchy — the retained matrix allocation makes each
-            # point's warm-up passes cheap
-            mh = self._hierarchy()
-            return [fn(t, mh=mh) for t in tasks]
-        return parallel_map(fn, tasks, jobs=jobs)
 
     def _span(self, name: str, points: int, iters: int):
         """A wall-clock trace span around one sweep (or a null
@@ -198,23 +166,21 @@ class CacheProbe:
     # -- capacity ------------------------------------------------------------
 
     def capacity_sweep(self, sizes_kib: List[int],
-                       iters: Optional[int] = None, *,
-                       jobs: Optional[int] = None) -> Dict[int, float]:
+                       iters: Optional[int] = None) -> Dict[int, float]:
         """Mean chase latency vs array size (KiB)."""
         if iters is None:
             iters = self.budget["capacity_iters"]
         warmup = self.budget["warmup_passes"]
-        tasks = [(self.device, kib, iters, warmup)
-                 for kib in sizes_kib]
+        mh = self._hierarchy()
         if sizes_kib:
             # size the reusable hierarchy for the largest point up
             # front instead of re-growing through the sweep
-            mh = self._hierarchy()
             span = max(sizes_kib) * 1024
             mh.l1_for_sm(0).reserve_span(span)
             mh.l2.reserve_span(span)
-        with self._span("capacity_sweep", len(tasks), iters):
-            return dict(self._map(_capacity_point, tasks, jobs))
+        with self._span("capacity_sweep", len(sizes_kib), iters):
+            return {kib: _capacity_point(mh, kib, iters, warmup)
+                    for kib in sizes_kib}
 
     def detect_l1_capacity(self, *, lo_kib: int = 16,
                            hi_kib: int = 1024) -> int:
@@ -237,8 +203,7 @@ class CacheProbe:
 
     def stride_sweep(self, strides: List[int],
                      array_kib: int = 512,
-                     iters: Optional[int] = None, *,
-                     jobs: Optional[int] = None) -> Dict[int, float]:
+                     iters: Optional[int] = None) -> Dict[int, float]:
         """Mean latency of a strided chase through a >L1 array that is
         re-walked after one warming pass (misses dominate).  Latency
         per *byte* falls as the stride shrinks below the sector size
@@ -246,13 +211,12 @@ class CacheProbe:
         above it."""
         if iters is None:
             iters = self.budget["stride_iters"]
-        tasks = [(self.device, stride, array_kib, iters)
-                 for stride in strides]
         mh = self._hierarchy()
         mh.l1_for_sm(0).reserve_span(array_kib * 1024)
         mh.l2.reserve_span(array_kib * 1024)
-        with self._span("stride_sweep", len(tasks), iters):
-            return dict(self._map(_stride_point, tasks, jobs))
+        with self._span("stride_sweep", len(strides), iters):
+            return {stride: _stride_point(mh, stride, array_kib, iters)
+                    for stride in strides}
 
     def detect_sector_bytes(self) -> int:
         """Smallest stride at which every access misses L1 on first

@@ -14,11 +14,12 @@ Wiring into the experiment stack:
   :class:`~repro.core.context.RunContext`'s existing timing hook, so
   every experiment completion lands as a wall-clock span plus an
   ``exp.completed`` counter without the runner knowing about tracing.
-* The process-pool runner activates a **fresh nested session per
-  experiment** — in workers *and* on the serial path — and ships the
-  :meth:`dump` back with the result; the parent :meth:`merge`\\ s the
-  deltas in requested-name order.  Counters are integers, so the
-  grouping cannot change totals: serial and parallel runs produce
+* :func:`isolated` runs one unit of work — an experiment, a fuzz
+  scenario check, a serve shard — under a **fresh nested session**,
+  in pool workers *and* on the serial path, and returns the
+  :meth:`dump` with the result; the parent :meth:`merge`\\ s the
+  deltas in input order.  Counters are integers, so the grouping
+  cannot change totals: serial and parallel runs produce
   byte-identical counter dumps.
 
 Sessions activate as context managers and nest (the previous session
@@ -35,7 +36,7 @@ or OpenMetrics text (:meth:`write_openmetrics`), both rendered by
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Tuple, TypeVar, Union
 
 from repro.obs.counters import NULL_COUNTERS, CounterSet
 from repro.obs.trace import Tracer
@@ -47,7 +48,10 @@ __all__ = [
     "active_counters",
     "active_tracer",
     "counters_or_null",
+    "isolated",
 ]
+
+_T = TypeVar("_T")
 
 #: the process's active session (``None`` — the default — means off)
 ACTIVE: Optional["ObsSession"] = None
@@ -73,6 +77,24 @@ def counters_or_null() -> CounterSet:
 def active_tracer() -> Optional[Tracer]:
     s = ACTIVE
     return s.tracer if s is not None else None
+
+
+def isolated(fn: Callable[..., _T], *args: Any, obs: bool,
+             trace: bool = False) \
+        -> Tuple[_T, Optional[Dict[str, Any]]]:
+    """``(fn(*args), dump)``.
+
+    With ``obs`` the call runs under a fresh nested
+    :class:`ObsSession` (tracing only with ``trace``) and ``dump`` is
+    its delta, ready for :meth:`ObsSession.merge`; without, no session
+    is made and ``dump`` is ``None``.
+    """
+    if not obs:
+        return fn(*args), None
+    session = ObsSession(trace=trace)
+    with session.activate():
+        result = fn(*args)
+    return result, session.dump()
 
 
 class ObsSession:

@@ -18,8 +18,9 @@ exists so the full suite re-runs fast enough to live in an edit loop:
 * :mod:`repro.perf.runner` — the parallel experiment runner
   (:func:`~repro.perf.runner.run_experiments`) that fans
   context-parameterized builders out over a process pool and merges
-  results deterministically in requested-name order, plus the generic
-  :func:`~repro.perf.runner.parallel_map` used by the probe sweeps.
+  results deterministically in requested-name order, plus
+  :func:`~repro.perf.runner.parallel_map`, the ordered process-pool
+  fan-out it shares with the fuzz driver and the serve dispatcher.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from repro.perf.profile import (
     load_bench_json,
     write_bench_json,
 )
-from repro.perf.runner import (RunReport, parallel_imap, parallel_map,
-                               run_experiments)
+from repro.perf.runner import RunReport, parallel_map, run_experiments
 
 __all__ = [
     "ResultCache",
@@ -51,6 +51,5 @@ __all__ = [
     "latest_bench_entry",
     "RunReport",
     "run_experiments",
-    "parallel_imap",
     "parallel_map",
 ]

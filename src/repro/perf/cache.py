@@ -71,7 +71,8 @@ def _record_provenance(event: str, name: str) -> None:
                             args={"experiment": name, "event": event})
 
 __all__ = ["ResultCache", "ResultCacheStats", "default_cache_dir",
-           "source_digest", "device_digest"]
+           "source_digest", "device_digest", "EntryBoundError",
+           "env_entry_bound"]
 
 #: bump when the on-disk payload layout changes
 _SCHEMA = 2
@@ -149,15 +150,34 @@ class ResultCacheStats:
         return self.hits + self.misses
 
 
-def default_max_entries() -> Optional[int]:
-    """``$HOPPERDISSECT_CACHE_MAX_ENTRIES`` as an int (``0`` or unset
-    meaning unbounded, the historical behaviour)."""
-    raw = os.environ.get("HOPPERDISSECT_CACHE_MAX_ENTRIES", "")
+class EntryBoundError(ValueError):
+    """An entry-bound environment variable that is not a
+    non-negative integer."""
+
+
+def env_entry_bound(var: str, unset: Optional[int]) -> Optional[int]:
+    """``$var`` read as a cache entry bound: unset or blank gives
+    ``unset``, ``0`` gives ``None`` (unbounded), a positive integer is
+    the bound.  Anything else raises :class:`EntryBoundError` naming
+    the variable."""
+    raw = os.environ.get(var, "").strip()
+    if not raw:
+        return unset
     try:
         value = int(raw)
     except ValueError:
-        return None
-    return value if value > 0 else None
+        value = -1
+    if value < 0:
+        raise EntryBoundError(
+            f"${var} must be a non-negative integer "
+            f"(0 = unbounded), got {raw!r}")
+    return value or None
+
+
+def default_max_entries() -> Optional[int]:
+    """``$HOPPERDISSECT_CACHE_MAX_ENTRIES`` as an int (``0`` or unset
+    meaning unbounded, the historical behaviour)."""
+    return env_entry_bound("HOPPERDISSECT_CACHE_MAX_ENTRIES", None)
 
 
 @dataclass

@@ -4,49 +4,31 @@ Experiments are independent pure functions of their
 :class:`~repro.core.context.RunContext`, so the suite parallelises
 trivially — the only care needed is determinism (results are merged in
 requested-name order no matter which worker finishes first) and
-picklability (workers receive ``(name, context_payload)`` and ship
-back ``(name, table, checks, wall)``; the
+picklability (workers receive ``(name, context_payload, obs, trace)``
+and ship back ``(name, table, checks, wall, dump)``; the
 :class:`~repro.core.registry.ExperimentResult` is reassembled in the
 parent against its own registry, because ``Experiment.builder`` is an
 arbitrary callable that may not pickle, and the context hook — an
 arbitrary callable too — never crosses the process boundary).
 
-:func:`parallel_map` is the same machinery for non-experiment
-workloads (the cache-study probe sweeps): a module-level worker
-function fanned over a pool, results in input order.
-
-Two dispatch disciplines coexist:
-
-* **chunked** (``pool.map`` with a chunksize) — lowest per-item
-  overhead, but a pool worker owns its chunk to completion, so a
-  heavy-tailed job mix strands the light chunks behind the heavy one;
-* **work-stealing** (:func:`parallel_imap` —
-  ``imap_unordered`` over index-tagged items) — completion-order
-  streaming where idle workers immediately pull the next item, which
-  is what lets thousands of small jobs saturate the pool
-  (``benchmarks/bench_fuzz.py`` gates the ≥2x claim).  Callers
-  re-merge by the yielded index when they need input order —
-  ``parallel_map(..., unordered=True)`` and the experiment runner do
-  exactly that, so determinism is untouched.
+:func:`parallel_map` is the one fan-out of the package: the
+experiment runner, the fuzz driver and the serve dispatcher all use
+it.  It yields results in input order from
+``multiprocessing.Pool.imap`` with one item per task, so an idle
+worker always takes the next pending item (a heavy-tailed job mix
+never strands light items behind a pre-assigned chunk —
+``benchmarks/bench_fuzz.py`` gates the >=2x claim against chunked
+dispatch) and callers never re-order anything.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, TypeVar)
 
 from repro.core.context import DEFAULT_CONTEXT, RunContext
 from repro.core.registry import (
@@ -55,15 +37,17 @@ from repro.core.registry import (
     list_experiments,
 )
 from repro.obs import session as _obs
-from repro.obs.session import ObsSession
+from repro.obs.session import isolated
 from repro.perf.cache import ResultCache
 from repro.perf.profile import Profiler
 
-__all__ = ["RunReport", "run_experiments", "parallel_map",
-           "parallel_imap"]
+__all__ = ["RunReport", "run_experiments", "parallel_map"]
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 
-def _run_one(task: Tuple[str, dict, Optional[dict]]) \
+def _run_one(task: Tuple[str, dict, bool, bool]) \
         -> Tuple[str, object, tuple, float, Optional[dict]]:
     """Worker entry point — must stay module-level for pickling.
 
@@ -71,7 +55,7 @@ def _run_one(task: Tuple[str, dict, Optional[dict]]) \
     registry, so this also works under spawn-style process start
     methods where the child begins with a blank interpreter.
 
-    When observability is requested (``obs_cfg``), the experiment runs
+    When observability is requested (``obs``), the experiment runs
     under a **fresh nested session** and its counter/event delta ships
     back with the result.  The same path runs in-process for serial
     runs, so the parent merges per-experiment integer deltas in
@@ -80,17 +64,11 @@ def _run_one(task: Tuple[str, dict, Optional[dict]]) \
     """
     import repro.core  # noqa: F401  (registers experiments)
 
-    name, ctx_payload, obs_cfg = task
+    name, ctx_payload, obs, trace = task
     ctx = RunContext.from_payload(ctx_payload)
     t0 = time.perf_counter()
-    if obs_cfg is not None:
-        session = ObsSession(trace=bool(obs_cfg.get("trace")))
-        with session.activate():
-            result = get_experiment(name).run(ctx)
-        dump = session.dump()
-    else:
-        result = get_experiment(name).run(ctx)
-        dump = None
+    result, dump = isolated(get_experiment(name).run, ctx, obs=obs,
+                            trace=trace)
     wall = time.perf_counter() - t0
     return name, result.table, tuple(result.checks), wall, dump
 
@@ -161,20 +139,13 @@ def run_experiments(
 
     # 2. run the rest, fanned out if asked to
     if pending:
-        obs_cfg = ({"trace": sess.tracer is not None}
-                   if sess is not None else None)
         with _span("runner.context_serialize"):
             payload = ctx.to_payload()
-            tasks = [(name, payload, obs_cfg) for name in pending]
+            tasks = [(name, payload, sess is not None, tracer is not None)
+                     for name in pending]
         with _span("runner.dispatch", jobs=max(1, jobs),
                    pending=len(pending)):
-            # work-stealing dispatch: completion order is arbitrary,
-            # so collect by index and process in requested order —
-            # the merge below stays deterministic either way
-            outcomes: List[Any] = [None] * len(tasks)
-            for i, outcome in parallel_imap(_run_one, tasks,
-                                            jobs=jobs):
-                outcomes[i] = outcome
+            outcomes = list(parallel_map(_run_one, tasks, jobs=jobs))
         for name, table, checks, wall, dump in outcomes:
             res = ExperimentResult(
                 experiment=get_experiment(name),
@@ -205,79 +176,21 @@ def run_experiments(
     return RunReport(results=ordered, profiler=profiler)
 
 
-def _indexed_call(task: Tuple[Callable[[Any], Any], int, Any]) \
-        -> Tuple[int, Any]:
-    """Worker shim — tags each result with its input index so the
-    parent can re-merge completion-order streams deterministically.
-    Must stay module-level for pickling (and so must ``fn``)."""
-    fn, index, item = task
-    return index, fn(item)
+def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T], *,
+                 jobs: int = 1) -> Iterator[_R]:
+    """Yield ``fn(x)`` for each of ``items``, in input order.
 
-
-def parallel_imap(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    *,
-    jobs: int = 1,
-    chunksize: int = 1,
-) -> Iterator[Tuple[int, Any]]:
-    """Work-stealing map: yields ``(index, fn(item))`` in
-    **completion order**.
-
-    Built on ``multiprocessing.Pool.imap_unordered`` with a small
-    chunksize, so an idle worker steals the next pending item instead
-    of sitting behind a pre-assigned chunk — on heavy-tailed job
-    mixes this is what keeps the pool saturated.  ``jobs <= 1`` or a
-    single item short-circuits to a serial generator (indices then
-    arrive in input order, trivially).
-
-    Callers needing input order re-merge by the yielded index
-    (:func:`parallel_map` with ``unordered=True`` does, as do the
-    experiment runner and the fuzz driver's reorder window).
+    ``jobs <= 1`` or a single item runs in-process, so callers can
+    pass a user-controlled job count straight through.  Otherwise
+    ``fn`` (module-level, so it pickles) runs on a
+    ``multiprocessing.Pool`` of ``min(jobs, len(items))`` workers
+    through ``imap`` with one item per task: each idle worker takes
+    the next pending item, and results still come back in input
+    order.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
-        for i, x in enumerate(items):
-            yield i, fn(x)
+        yield from map(fn, items)
         return
-    tasks = [(fn, i, x) for i, x in enumerate(items)]
-    with multiprocessing.Pool(
-        processes=min(jobs, len(items))
-    ) as pool:
-        yield from pool.imap_unordered(_indexed_call, tasks,
-                                       chunksize=max(1, chunksize))
-
-
-def parallel_map(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    *,
-    jobs: int = 1,
-    chunksize: int = 1,
-    unordered: bool = False,
-) -> List[Any]:
-    """``[fn(x) for x in items]``, fanned over a process pool.
-
-    ``fn`` must be a module-level (picklable) callable; results come
-    back in input order regardless of completion order.  ``jobs <= 1``
-    or a single item short-circuits to the serial loop, so callers can
-    pass a user-controlled job count straight through.
-
-    ``unordered=True`` switches the dispatch discipline to the
-    work-stealing pool (:func:`parallel_imap`) and re-merges by index
-    — same results, same order, better wall time when item costs are
-    skewed.  ``chunksize`` keeps its ``pool.map`` meaning either way.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    if unordered:
-        out: List[Any] = [None] * len(items)
-        for i, result in parallel_imap(fn, items, jobs=jobs,
-                                       chunksize=chunksize):
-            out[i] = result
-        return out
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(items))
-    ) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, chunksize)))
+    with multiprocessing.Pool(processes=min(jobs, len(items))) as pool:
+        yield from pool.imap(fn, items)

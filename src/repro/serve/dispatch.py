@@ -2,12 +2,14 @@
 
 Mirrors the experiment runner's determinism recipe
 (:mod:`repro.perf.runner`): every shard is answered under a **fresh
-nested** :class:`~repro.obs.ObsSession` — on the serial path and in
-pool workers alike — and ships its counter delta back with the
-prediction payloads.  The parent merges deltas in plan order no matter
-which worker finished first, and builds a fresh
-:class:`~repro.serve.oracle.CostOracle` per shard on both paths, so a
-``--jobs N`` run and a serial run fire byte-identical counter banks.
+nested**, counter-only :class:`~repro.obs.ObsSession` — on the serial
+path and in pool workers alike — and ships its counter delta back with
+the prediction payloads.  ``jobs == 1`` answers the shards in-process;
+otherwise they go through the ordered
+:func:`~repro.perf.runner.parallel_map` fan-out, so results come back
+in plan order on both paths.  Each shard builds a fresh
+:class:`~repro.serve.oracle.CostOracle`, so a ``--jobs N`` run and a
+serial run fire byte-identical counter banks.
 
 Point-query shards route through the oracle's vectorized group calls.
 Family-level shards (``kind == "experiment"``) fall back to
@@ -30,7 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.context import RunContext
 from repro.obs import session as _obs
-from repro.obs.session import ObsSession
+from repro.obs.session import isolated
 from repro.serve.planner import Shard
 from repro.serve.schema import Prediction, Query, parse_query
 
@@ -110,9 +112,11 @@ def _answer_queries(kind: str, device: str, queries: List[Query],
                     obs: bool, base: RunContext) \
         -> Tuple[List[Prediction], Optional[Dict[str, Any]]]:
     """Answer one shard's queries: fresh oracle (or the experiment
-    runner, for family shards) under a fresh nested session when
-    observability is on.  Shared by the in-process fast path and the
-    pool worker, so both produce identical predictions and deltas."""
+    runner, for family shards) under a fresh nested, counter-only
+    session when observability is on — the dump is stored in the blob
+    tier, so it carries no trace events.  Shared by the in-process
+    fast path and the pool worker, so both produce identical
+    predictions and deltas."""
     from repro.serve.oracle import CostOracle
 
     def compute() -> List[Prediction]:
@@ -120,15 +124,7 @@ def _answer_queries(kind: str, device: str, queries: List[Query],
             return _experiment_predictions(queries, base)
         return CostOracle(device).answer_group(kind, queries)
 
-    if obs:
-        session = ObsSession()
-        with session.activate():
-            predictions = compute()
-        dump = session.dump()
-    else:
-        predictions = compute()
-        dump = None
-    return predictions, dump
+    return isolated(compute, obs=obs)
 
 
 def answer_shard(task: _Task) \
@@ -190,17 +186,9 @@ def dispatch_shards(shards: List[Shard], *, jobs: int = 1,
          [q.to_payload() for q in s.queries], obs, ctx_payload)
         for s in shards
     ]
-    # work-stealing dispatch: shards of very different weights (one
-    # heavy memory chase vs many light sweep shards) no longer strand
-    # a worker; parallel_map re-merges by index so plan order — and
-    # with it the deterministic counter merge — is preserved
-    outcomes = parallel_map(answer_shard, tasks, jobs=jobs,
-                            unordered=True)
-    results = []
-    for shard, (payloads, dump) in zip(shards, outcomes):
-        results.append(ShardResult(
-            shard,
-            [Prediction.from_payload(p) for p in payloads],
-            dump,
-        ))
-    return results
+    return [
+        ShardResult(s, [Prediction.from_payload(p) for p in payloads],
+                    dump)
+        for s, (payloads, dump) in zip(
+            shards, parallel_map(answer_shard, tasks, jobs=jobs))
+    ]

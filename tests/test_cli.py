@@ -316,6 +316,49 @@ class TestCountersJson:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_report_metrics_identical_across_jobs(self, tmp_path,
+                                                  capsys):
+        # report always goes through the experiment runner: the serial
+        # run fills the same per-experiment banks as the fanned one
+        import json
+
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path, jobs in ((a, "1"), (b, "2")):
+            assert main(["report", "--no-cache", "-j", jobs,
+                         "-o", str(tmp_path / "r.md"),
+                         "--metrics", str(path)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["experiments"]
+
+
+class TestEntryBoundEnv:
+    """A malformed cache-bound variable fails with a message naming
+    it, and the CLI exits 2."""
+
+    QUERY = ('{"kind": "te.linear", "device": "H800", '
+             '"precision": "fp16", "params": {"m": 64, "n": 64, '
+             '"k": 64}}\n')
+
+    @pytest.mark.parametrize("var", [
+        "HOPPERDISSECT_SERVE_MEMO_MAX_ENTRIES",
+        "HOPPERDISSECT_CACHE_MAX_ENTRIES",
+    ])
+    def test_serve_exits_two(self, var, tmp_path, monkeypatch,
+                             capsys):
+        jsonl = tmp_path / "q.jsonl"
+        jsonl.write_text(self.QUERY)
+        monkeypatch.setenv(var, "abc")
+        assert main(["serve", "--input", str(jsonl)]) == 2
+        err = capsys.readouterr().err
+        assert f"${var}" in err and "'abc'" in err
+
+    def test_run_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("HOPPERDISSECT_CACHE_MAX_ENTRIES", "-3")
+        assert main(["run", "table03_devices"]) == 2
+        assert "$HOPPERDISSECT_CACHE_MAX_ENTRIES" in \
+            capsys.readouterr().err
+
+
 class TestFuzzCli:
     @pytest.fixture
     def bad_dsm_device(self):

@@ -62,24 +62,3 @@ class TestFullDetection:
         probe = CacheProbe(get_device("RTX4090"))
         assert probe.detect_l1_capacity() == \
             probe.device.cache.l1_size_bytes
-
-
-class TestParallelSweeps:
-    def test_capacity_parallel_equals_serial(self, probe):
-        sizes = [32, 64, 128, 256]
-        assert probe.capacity_sweep(sizes, iters=128) == \
-            probe.capacity_sweep(sizes, iters=128, jobs=2)
-
-    def test_stride_parallel_equals_serial(self, probe):
-        strides = [4, 16, 64, 128]
-        assert probe.stride_sweep(strides, iters=128) == \
-            probe.stride_sweep(strides, iters=128, jobs=2)
-
-    def test_probe_level_jobs_default(self):
-        from repro.arch import get_device
-        serial = CacheProbe(get_device("RTX4090"))
-        fanned = CacheProbe(get_device("RTX4090"), jobs=2)
-        assert fanned.jobs == 2
-        sizes = [64, 128]
-        assert serial.capacity_sweep(sizes, iters=64) == \
-            fanned.capacity_sweep(sizes, iters=64)

@@ -76,35 +76,51 @@ def _square(x):
 
 
 class TestWorkStealing:
-    """parallel_imap / parallel_map(unordered=True): the
-    work-stealing dispatch yields every indexed result exactly once
-    and re-merges into input order."""
+    """parallel_map: one item per pool task, so idle workers take the
+    next pending item, and results always come back in input
+    order."""
 
     ITEMS = list(range(23))
 
-    def test_parallel_imap_serial_is_input_order(self):
-        from repro.perf import parallel_imap
-
-        pairs = list(parallel_imap(_square, self.ITEMS, jobs=1))
-        assert pairs == [(i, i * i) for i in self.ITEMS]
-
-    def test_parallel_imap_fanned_covers_every_index(self):
-        from repro.perf import parallel_imap
-
-        pairs = list(parallel_imap(_square, self.ITEMS, jobs=3))
-        assert sorted(pairs) == [(i, i * i) for i in self.ITEMS]
-
-    def test_unordered_map_matches_ordered(self):
+    def test_serial_is_input_order(self):
         from repro.perf import parallel_map
 
-        ordered = parallel_map(_square, self.ITEMS, jobs=2)
-        stolen = parallel_map(_square, self.ITEMS, jobs=2,
-                              unordered=True)
-        assert stolen == ordered == [i * i for i in self.ITEMS]
+        assert list(parallel_map(_square, self.ITEMS, jobs=1)) == \
+            [i * i for i in self.ITEMS]
+
+    def test_fanned_is_input_order(self):
+        from repro.perf import parallel_map
+
+        assert list(parallel_map(_square, self.ITEMS, jobs=3)) == \
+            [i * i for i in self.ITEMS]
 
     def test_empty_and_single_item_short_circuit(self):
-        from repro.perf import parallel_imap, parallel_map
+        from repro.perf import parallel_map
 
-        assert list(parallel_imap(_square, [], jobs=4)) == []
-        assert parallel_map(_square, [7], jobs=4,
-                            unordered=True) == [49]
+        assert list(parallel_map(_square, [], jobs=4)) == []
+        assert list(parallel_map(_square, [7], jobs=4)) == [49]
+
+
+class TestRunAllSessions:
+    """``run_all`` has one code path: every experiment runs under its
+    own nested session, serial and fanned alike, so its counters land
+    in that experiment's bank."""
+
+    def _banks(self, jobs):
+        from repro.core import RunContext
+        from repro.obs import ObsSession
+
+        session = ObsSession()
+        ctx = session.bind(RunContext(devices=("A100",)))
+        with session.activate():
+            run_all(jobs=jobs, cache=None, context=ctx)
+        banks = {name: bank.as_dict()
+                 for name, bank in session.per_experiment.items()}
+        return banks, session.counters.dump()
+
+    def test_serial_run_all_fills_experiment_banks(self):
+        serial_banks, serial_flat = self._banks(1)
+        fanned_banks, fanned_flat = self._banks(2)
+        assert serial_banks
+        assert serial_banks == fanned_banks
+        assert serial_flat == fanned_flat

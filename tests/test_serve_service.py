@@ -275,6 +275,17 @@ class TestMemoBound:
                            "0")
         assert default_memo_entries() is None
 
+    def test_memo_env_malformed(self, monkeypatch):
+        from repro.perf.cache import EntryBoundError
+        from repro.serve.service import default_memo_entries
+
+        for raw in ("abc", "1.5", "-1"):
+            monkeypatch.setenv("HOPPERDISSECT_SERVE_MEMO_MAX_ENTRIES",
+                               raw)
+            with pytest.raises(EntryBoundError,
+                               match="HOPPERDISSECT_SERVE_MEMO_MAX"):
+                default_memo_entries()
+
     def test_eviction_does_not_change_answers(self):
         # evictions drop warm-start state only: a churning bounded
         # memo answers identically to an unbounded one
@@ -333,6 +344,16 @@ class TestCacheSizeGuard:
         assert ResultCache(root=tmp_path).max_entries is None
         monkeypatch.delenv("HOPPERDISSECT_CACHE_MAX_ENTRIES")
         assert ResultCache(root=tmp_path).max_entries is None
+
+    def test_env_malformed(self, tmp_path, monkeypatch):
+        # a typo must not silently turn the bound off
+        from repro.perf.cache import EntryBoundError
+
+        for raw in ("abc", "1.5", "-1"):
+            monkeypatch.setenv("HOPPERDISSECT_CACHE_MAX_ENTRIES", raw)
+            with pytest.raises(EntryBoundError,
+                               match="HOPPERDISSECT_CACHE_MAX_ENTRIES"):
+                ResultCache(root=tmp_path)
 
     def test_bound_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="positive"):
