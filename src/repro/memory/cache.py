@@ -29,7 +29,8 @@ implementation, preserved as the reference cache in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -154,6 +155,7 @@ class SetAssociativeCache:
         # the whole closed-form fill for warm-up-sized streams.
         self._where: Optional[Dict[int, int]] = {}
         self._empty = True                   # no line inserted yet
+        self._pending = None                 # state of a settle() stream
 
     def _ensure_sets(self, hi: int) -> None:
         """Grow the state matrices to cover set indices ``< hi``."""
@@ -228,6 +230,8 @@ class SetAssociativeCache:
         without touching :attr:`stats` — the warm-up path, so reported
         hit rates cover only the measured phase.
         """
+        if self._pending is not None:
+            self._install()
         self._clock += 1
         clock = self._clock
         obs = self._obs if record else NULL_COUNTERS
@@ -295,6 +299,8 @@ class SetAssociativeCache:
         (see :meth:`_lockstep_access`).  Anything else falls back to
         the exact scalar path.
         """
+        if self._pending is not None:
+            self._install()
         a = np.ascontiguousarray(addrs, dtype=np.int64)
         if a.ndim != 1:
             raise ValueError("addrs must be one-dimensional")
@@ -324,6 +330,8 @@ class SetAssociativeCache:
 
     def probe(self, addr: int, size: int = 4) -> bool:
         """Non-destructive lookup (no fill, no LRU update, no stats)."""
+        if self._pending is not None:
+            self._install()
         where = self._index()
         for line_addr, set_idx, sector in self._sector_span(addr, size):
             way = where.get(line_addr)
@@ -362,9 +370,87 @@ class SetAssociativeCache:
         self._set_fill[:] = 0
         self._where = {}
         self._empty = True
+        self._pending = None
         self.stats.reset()
 
+    @property
+    def empty(self) -> bool:
+        """No line inserted since construction or the last flush."""
+        return self._empty
+
+    def settle(self, resolve: Callable[[], Tuple[np.ndarray, ...]], *,
+               accesses: int, hits: int, tag_misses: int,
+               evictions: int) -> None:
+        """Account a recorded single-sector stream that the caller
+        resolved in closed form against this *empty* cache, without
+        replaying it.
+
+        ``CacheStats``, the counters and the clocks advance at once.
+        The state the stream leaves behind is installed when the cache
+        is next used, so a cache that is dropped after the stream
+        never pays for it: ``resolve()`` returns the distinct lines
+        the stream touched, the sector mask each holds at the end, the
+        stream-relative clock of its last access (1 for the first
+        access) and the number of its last insertion (0 for the first
+        tag miss).
+        """
+        if not self._empty:
+            raise ValueError("settle() needs an empty cache")
+        self._pending = (resolve, self._clock, self._ins_counter)
+        self._clock += accesses
+        self._ins_counter += tag_misses
+        self._empty = False
+        self._record(accesses, hits, accesses - hits - tag_misses,
+                     tag_misses, evictions)
+
+    def _install(self) -> None:
+        """Install the state of a :meth:`settle`-d stream.  From empty,
+        LRU holds the ``ways`` most recently used lines of every set
+        (Mattson's inclusion property); they go in LRU→MRU order."""
+        resolve, clock, ins_counter = self._pending
+        self._pending = None
+        lines, valid, stamp, ins = resolve()
+        n = len(lines)
+        sets = lines % self.num_sets
+        order = np.lexsort((stamp, sets))
+        ss = sets[order]
+        first = np.flatnonzero(np.r_[True, ss[1:] != ss[:-1]])
+        size = np.diff(np.r_[first, n])
+        grp = np.repeat(np.arange(len(first)), size)
+        way = np.arange(n) - first[grp] - np.maximum(size - self.ways,
+                                                     0)[grp]
+        keep = way >= 0
+        k = order[keep]
+        rows = ss[keep]
+        way = way[keep]
+        self._ensure_sets(int(ss[-1]) + 1)
+        self._lines[rows, way] = lines[k]
+        self._valid[rows, way] = valid[k]
+        self._stamp[rows, way] = clock + stamp[k]
+        self._ins[rows, way] = ins_counter + ins[k]
+        self._set_fill[ss[first]] = np.minimum(size, self.ways)
+        self._where = None
+
     # -- internals --------------------------------------------------------------
+
+    def _record(self, accesses: int, hits: int, sector_misses: int,
+                tag_misses: int, evictions: int) -> None:
+        """Advance ``CacheStats`` and the ``cache.<level>.*`` counters
+        by one batch's outcome counts."""
+        st = self.stats
+        st.accesses += accesses
+        st.hits += hits
+        st.sector_misses += sector_misses
+        st.tag_misses += tag_misses
+        st.evictions += evictions
+        obs = self._obs
+        if obs.enabled:
+            for key, n in ((self._k_acc, accesses), (self._k_hit, hits),
+                           (self._k_sector, sector_misses),
+                           (self._k_tag, tag_misses),
+                           (self._k_evict, evictions)):
+                if n:
+                    obs.add(key, n)
 
     def _insert(self, line_addr: int, set_idx: int, sector_bits: int,
                 record: bool) -> None:
@@ -460,19 +546,8 @@ class SetAssociativeCache:
         self._clock += n
         self._ins_counter += n_lines
         if record:
-            evicted = int(np.maximum(grp_sizes - self.ways, 0).sum())
-            self.stats.accesses += n
-            self.stats.tag_misses += n_lines
-            self.stats.sector_misses += n - n_lines
-            self.stats.evictions += evicted
-            obs = self._obs
-            if obs.enabled:
-                obs.add(self._k_acc, n)
-                obs.add(self._k_tag, n_lines)
-                if n - n_lines:
-                    obs.add(self._k_sector, n - n_lines)
-                if evicted:
-                    obs.add(self._k_evict, evicted)
+            self._record(n, 0, n - n_lines, n_lines,
+                         int(np.maximum(grp_sizes - self.ways, 0).sum()))
         return np.zeros(n, dtype=bool)
 
     def _warm_fill(self, start: int, end: int, record: bool) -> None:
@@ -572,18 +647,7 @@ class SetAssociativeCache:
         self._clock += n
         self._ins_counter += m
         if record:
-            self.stats.accesses += n
-            self.stats.tag_misses += m
-            self.stats.sector_misses += n - m
-            self.stats.evictions += evicted
-            obs = self._obs
-            if obs.enabled:
-                obs.add(self._k_acc, n)
-                obs.add(self._k_tag, m)
-                if n - m:
-                    obs.add(self._k_sector, n - m)
-                if evicted:
-                    obs.add(self._k_evict, evicted)
+            self._record(n, 0, n - m, m, evicted)
 
     def _all_hit_fast(self, a: np.ndarray, *,
                       record: bool) -> Optional[np.ndarray]:
@@ -626,12 +690,7 @@ class SetAssociativeCache:
             self._clock + 1 + np.arange(n, dtype=np.int64)
         self._clock += n
         if record:
-            self.stats.accesses += n
-            self.stats.hits += n
-            obs = self._obs
-            if obs.enabled:
-                obs.add(self._k_acc, n)
-                obs.add(self._k_hit, n)
+            self._record(n, n, 0, 0, 0)
         return np.ones(n, dtype=bool)
 
     def _lockstep_ok(self, addrs: np.ndarray, size: int) -> bool:
@@ -819,23 +878,7 @@ class SetAssociativeCache:
 
         self._clock += n
         if record:
-            st = self.stats
-            st.accesses += n
-            st.hits += n_hit
-            st.sector_misses += n_sector
-            st.tag_misses += n_tag
-            st.evictions += n_evict
-            obs = self._obs
-            if obs.enabled:
-                obs.add(self._k_acc, n)
-                if n_hit:
-                    obs.add(self._k_hit, n_hit)
-                if n_sector:
-                    obs.add(self._k_sector, n_sector)
-                if n_tag:
-                    obs.add(self._k_tag, n_tag)
-                if n_evict:
-                    obs.add(self._k_evict, n_evict)
+            self._record(n, n_hit, n_sector, n_tag, n_evict)
         return out
 
     # -- introspection -------------------------------------------------------------
@@ -855,6 +898,8 @@ class SetAssociativeCache:
         """
         import hashlib
 
+        if self._pending is not None:
+            self._install()
         rows = np.ascontiguousarray(sets, dtype=np.int64)
         if len(rows):
             self._ensure_sets(int(rows.max()) + 1)
@@ -899,6 +944,8 @@ class SetAssociativeCache:
         """Bytes of valid sectors currently cached."""
         if self._empty:
             return 0
+        if self._pending is not None:
+            self._install()
         # mask to occupied ways: flush() leaves stale bits behind
         occ = (np.arange(self.ways, dtype=np.int64)[None, :]
                < self._set_fill[:, None])

@@ -50,8 +50,8 @@ from typing import Dict, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.isa.memory_ops import CacheOp
-from repro.memory.hierarchy import (BatchAccessResult, MemLevel,
-                                    MemoryHierarchy)
+from repro.memory.hierarchy import (LEVEL_CODES, BatchAccessResult,
+                                    MemLevel, MemoryHierarchy)
 from repro.obs.session import active_tracer
 from repro.obs.trace import SIM_TRACK
 
@@ -118,6 +118,160 @@ class ChaseStats:
         return self.level_counts.get(level, 0) / self.iters
 
 
+#: cache operators the closed form models: both allocate on a miss
+#: in every cache they pass through
+_CLOSED_FORM_OPS = (CacheOp.CACHE_ALL, CacheOp.CACHE_GLOBAL)
+
+
+@dataclass(frozen=True)
+class _Runs:
+    """A period's accesses grouped into maximal runs of one key (a
+    line or a page), each key forming exactly one run."""
+
+    keys: np.ndarray      # per run, in lap order
+    heads: np.ndarray     # first position of each run
+    ends: np.ndarray      # one past its last position
+
+    @classmethod
+    def of(cls, key: np.ndarray, ascending: bool) -> Optional["_Runs"]:
+        """The runs of ``key``, or ``None`` if some key recurs after
+        another one (its accesses are not contiguous)."""
+        heads = np.concatenate(
+            ([0], np.flatnonzero(key[1:] != key[:-1]) + 1))
+        keys = key[heads]
+        if not ascending and len(np.unique(keys)) != len(keys):
+            return None
+        return cls(keys, heads, np.append(heads[1:], len(key)))
+
+
+class _Laps:
+    """How ``iters`` accesses fall on the laps of a period.  A cold
+    chase has three lap patterns (laps 1, 2 and 3+): ``full`` whole
+    laps of each, then the first ``rest`` accesses of lap ``last``,
+    of pattern ``tail``.  Per-run flags are summed over the chase
+    with weights ``(per whole lap, in the tail)``: run lengths for
+    accesses, ones for run heads."""
+
+    def __init__(self, iters: int, period: int) -> None:
+        q, self.rest = divmod(iters, period)
+        self.full = (min(q, 1), int(q >= 2), max(q - 2, 0))
+        self.tail = min(q, 2)
+        self.last = q + (self.rest > 0)          # laps started
+        self.cut = self.rest or period           # accesses of the last
+
+    def weights(self, runs: _Runs, heads: bool = False):
+        if heads:
+            return np.ones(len(runs.keys), dtype=np.int64), \
+                (runs.heads < self.rest).astype(np.int64)
+        length = runs.ends - runs.heads
+        return length, np.clip(self.rest - runs.heads, 0, length)
+
+    def total(self, rows, weights) -> int:
+        """Sum over the chase of per-run flags given per lap pattern
+        (``rows``: laps 1, 2, 3+) under ``weights``."""
+        whole, tail = weights
+        return int(sum(f * int(row @ whole)
+                       for f, row in zip(self.full, rows) if f)
+                   + rows[self.tail] @ tail)
+
+    def before(self, j: np.ndarray, per_lap) -> np.ndarray:
+        """Sum of ``per_lap`` (per pattern) over laps ``1..j-1``."""
+        return (per_lap[0] * (j > 1) + per_lap[1] * (j > 2)
+                + per_lap[2] * np.maximum(j - 3, 0))
+
+    def last_lap(self, runs: _Runs, later: np.ndarray) -> np.ndarray:
+        """Per run, the lap of its last access.  ``later`` marks the
+        runs still reached from lap 2 on; the others are reached in
+        lap 1 only."""
+        return np.where(later, np.where(runs.heads < self.cut,
+                                        self.last, self.last - 1), 1)
+
+
+def _cold_lru(sets: np.ndarray, ways: int,
+              later: Optional[np.ndarray] = None):
+    """Head hits ``(lap 2, laps 3+)`` of the runs of a cyclic stream
+    through an LRU level that starts empty, one line per run, and the
+    number of lines the level holds at the end.
+
+    The level sees every run in lap 1 and, from lap 2 on, only the
+    ``later`` runs (all when ``None``).  By the Mattson stack distance
+    a run head hits iff fewer than ``ways`` other lines of its set
+    were touched since the line's last access.  Lap 1 is all
+    compulsory misses.  In lap 2 a ``later`` line of a set with
+    ``k`` lines is preceded by every line of its set but itself and
+    the lap-1-only lines before it.  From lap 3 on it is preceded by
+    the other ``later`` lines of its set, so the set hits iff it has
+    at most ``ways`` of them.  A run's tail follows its head: hits
+    after a hit, sector misses after a tag miss.
+    """
+    k = np.bincount(sets)
+    fill = int(np.minimum(k, ways).sum())
+    if later is None or later.all():
+        hit = k[sets] <= ways
+        return hit, hit, fill
+    if not later.any():
+        return later, later, fill
+    once = np.bincount(sets[~later], minlength=len(k))
+    order = np.argsort(sets, kind="stable")
+    flag = (~later[order]).astype(np.int64)
+    before = np.empty(len(sets), dtype=np.int64)
+    before[order] = np.cumsum(flag) - flag \
+        - (np.cumsum(once) - once)[sets[order]]
+    return (later & (k[sets] - 1 - before < ways),
+            later & (k[sets] - once[sets] <= ways), fill)
+
+
+def _settle(cache, lines: _Runs, laps: _Laps, later: np.ndarray,
+            hit, fill: int, masks: np.ndarray, cut_run: Optional[int],
+            cut_mask: int) -> None:
+    """Account the chase's accesses to ``cache`` and hand it the state
+    they leave behind (see :meth:`SetAssociativeCache.settle`).
+
+    A set that ends holding ``min(k, ways)`` of its ``k`` lines has
+    evicted one line per insertion beyond that, so the evictions are
+    the insertions (tag misses) less ``fill``."""
+    n = len(lines.keys)
+    tag = (np.ones(n, dtype=bool), later & ~hit[0], later & ~hit[1])
+    w = laps.weights(lines)
+    tags = laps.total(tag, laps.weights(lines, heads=True))
+
+    def resolve():
+        # every line keeps the clock of its last access, the sectors
+        # it holds (``cut_mask`` if the run the last lap stops inside
+        # refilled it) and the number of its last insertion
+        length = w[0]
+        acc_later = length * later
+        j = laps.last_lap(lines, later)
+        pat = np.minimum(j, 3) - 1
+        # clock: accesses of the laps before, of the lap before the
+        # run, and of the run itself
+        stamp = laps.before(j, (int(length.sum()),)
+                            + (int(acc_later.sum()),) * 2) \
+            + np.where(pat, np.cumsum(acc_later) - acc_later,
+                       lines.heads) + length
+        refilled = np.choose(pat, tag)  # last run began with a tag miss
+        # a run that hit is resident since the last lap it missed:
+        # lap 2 or 1 (laps 3+ repeat one outcome)
+        j_ins = np.where(refilled, j,
+                         np.where((j >= 3) & tag[1], 2, 1))
+        ins = laps.before(j_ins, (n, int(tag[1].sum()),
+                                  int(tag[2].sum()))) \
+            + np.choose(np.minimum(j_ins, 3) - 1,
+                        (np.arange(n), np.cumsum(tag[1]) - tag[1],
+                         np.cumsum(tag[2]) - tag[2]))
+        valid = masks
+        if cut_run is not None and j[cut_run] == laps.last:
+            stamp[cut_run] -= lines.ends[cut_run] - laps.cut
+            if refilled[cut_run]:
+                valid = masks.copy()
+                valid[cut_run] = cut_mask
+        return lines.keys, valid, stamp, ins
+
+    cache.settle(resolve, accesses=laps.total(tag[:1] + (later, later), w),
+                 hits=laps.total((~tag[0],) + hit, w), tag_misses=tags,
+                 evictions=tags - fill)
+
+
 class ChaseEngine:
     """Runs periodic chase workloads on one
     :class:`MemoryHierarchy` (see module docstring).
@@ -150,6 +304,10 @@ class ChaseEngine:
             raise ValueError("need a non-empty address sequence")
         if iters < 0:
             raise ValueError("iters must be non-negative")
+
+        closed = self._closed_form(seq, iters)
+        if closed is not None:
+            return closed
 
         h = self.hierarchy
         l1 = h.l1_for_sm(self.sm_id) if self.cache_op.allocates_l1 \
@@ -271,6 +429,143 @@ class ChaseEngine:
                           level_counts=levels, tlb_hits=tlb_hits,
                           simulated=simulated,
                           extrapolated=extrapolated)
+
+    # -- the closed form -----------------------------------------------------
+
+    def _closed_form(self, seq: np.ndarray,
+                     iters: int) -> Optional[ChaseStats]:
+        """Resolve a chase from empty caches without simulating it
+        (see the module docstring); ``None`` when the stream or the
+        hierarchy's state is not eligible."""
+        h = self.hierarchy
+        op = self.cache_op
+        if not iters or op not in _CLOSED_FORM_OPS:
+            return None
+        l2 = h.l2
+        l1 = h.l1_for_sm(self.sm_id) if op.allocates_l1 else None
+        if not l2.empty or (l1 is not None and not (
+                l1.empty and l1.line_bytes == l2.line_bytes
+                and l1.sector_bytes == l2.sector_bytes)):
+            return None
+        # a chase shorter than its period runs one partial lap: the
+        # accessed prefix is a period of its own
+        seq = seq[:iters]
+        sb = l2.sector_bytes
+        spl = l2.sectors_per_line
+        sector = seq // sb
+        if self.size <= 0 or int(seq.min()) < 0 or \
+                ((seq + (self.size - 1)) // sb != sector).any():
+            return None
+        ascending = bool((sector[1:] > sector[:-1]).all())
+        line = sector // spl
+        tlb = h.tlb
+        lines = _Runs.of(line, ascending)
+        pages = _Runs.of(seq // tlb.page_bytes, ascending)
+        if lines is None or pages is None:
+            return None
+        # one bit per sector; a line's bits sum to their OR iff no
+        # sector repeats within the period
+        bits = np.int64(1) << (sector - line * spl)
+        masks = np.add.reduceat(bits, lines.heads)
+        if not ascending and np.any(
+                masks != np.bitwise_or.reduceat(bits, lines.heads)):
+            return None
+        tlb_warm = tlb.holds(pages.keys)
+        if not tlb_warm and tlb.resident_pages:
+            return None
+
+        period = len(seq)
+        laps = _Laps(iters, period)
+        n_lines = len(lines.keys)
+        # per-line head hits of laps 2 and 3+, level by level; from
+        # lap 2 on L2 sees only the lines whose L1 set thrashes
+        if l1 is not None:
+            l1_hit, _, l1_fill = _cold_lru(lines.keys % l1.num_sets,
+                                           l1.ways)
+        else:
+            l1_hit = np.zeros(n_lines, dtype=bool)
+        later = ~l1_hit
+        *l2_hit, l2_fill = _cold_lru(lines.keys % l2.num_sets, l2.ways,
+                                     later)
+        l2_hit = tuple(l2_hit)
+
+        # accesses per serving level (lap 1 goes to DRAM); a TLB miss
+        # is a page head that misses, served where its line is
+        acc_w = laps.weights(lines)
+        never = np.zeros(n_lines, dtype=bool)
+        served = [laps.total((never, l1_hit, l1_hit), acc_w),
+                  laps.total((never,) + l2_hit, acc_w)]
+        served.append(iters - sum(served))
+        missed = [0, 0, 0]
+        if not tlb_warm:
+            at = np.searchsorted(lines.heads, pages.heads,
+                                 side="right") - 1
+            head_w = laps.weights(pages, heads=True)
+            thrash = len(pages.keys) > tlb.entries
+            lap1 = np.ones(len(pages.keys), dtype=bool)
+            for lvl, rows in enumerate((
+                    (~lap1, l1_hit[at], l1_hit[at]),
+                    (~lap1, l2_hit[0][at], l2_hit[1][at]))):
+                missed[lvl] = laps.total(
+                    (rows[0],) + tuple(r & thrash for r in rows[1:]),
+                    head_w)
+            missed[2] = laps.total((lap1, lap1 & thrash, lap1 & thrash),
+                                   head_w) - missed[0] - missed[1]
+        tlb_hits = iters - sum(missed)
+
+        lat = h.device.mem_latencies
+        base = (lat.l1_hit_clk, lat.l2_hit_clk,
+                lat.l2_hit_clk + lat.dram_clk)
+        counts: Dict[float, int] = {}
+        levels: Dict[MemLevel, int] = {}
+        obs = h._obs
+        for code, lvl in enumerate(LEVEL_CODES):
+            for value, n in ((base[code] + 0.0,
+                              served[code] - missed[code]),
+                             (base[code] + lat.tlb_miss_clk,
+                              missed[code])):
+                if n:
+                    counts[value] = counts.get(value, 0) + n
+                    if obs.enabled:
+                        obs.observe(f"mem.latency.{lvl.value}", value, n)
+            if served[code]:
+                levels[lvl] = served[code]
+        if obs.enabled:
+            obs.add("mem.loads", iters)
+            if tlb_hits:
+                obs.add("mem.tlb.hits", tlb_hits)
+            if iters - tlb_hits:
+                obs.add("mem.tlb.misses", iters - tlb_hits)
+            for lvl, n in levels.items():
+                obs.add(f"mem.bytes.{lvl.value}", n * self.size)
+
+        # the state left behind, and the caches' own totals
+        cut_run = cut_mask = None
+        if laps.rest:
+            cut_run = int(np.searchsorted(lines.heads, laps.cut,
+                                          side="right")) - 1
+            cut_mask = int(bits[lines.heads[cut_run]:laps.cut].sum())
+        if l1 is not None:
+            _settle(l1, lines, laps, ~never, (l1_hit, l1_hit), l1_fill,
+                    masks, cut_run, cut_mask)
+        _settle(l2, lines, laps, later, l2_hit, l2_fill, masks, cut_run,
+                cut_mask)
+        recency = pages.keys
+        if laps.rest:
+            started = pages.heads < laps.cut
+            recency = np.concatenate((recency[~started],
+                                      recency[started]))
+        tlb.settle(recency, hits=tlb_hits, misses=iters - tlb_hits)
+
+        tracer = active_tracer()
+        if tracer is not None:
+            tracer.instant("chase closed form", ts=0.0, cat="chase",
+                           pid=SIM_TRACK, tid=f"chase sm{self.sm_id}",
+                           args={"iters": iters, "period": period,
+                                 "extrapolated": iters})
+        return ChaseStats(iters=iters, latency_counts=counts,
+                          level_counts=levels, tlb_hits=tlb_hits,
+                          simulated=0, extrapolated=iters)
 
     # -- internals ----------------------------------------------------------
 

@@ -82,6 +82,28 @@ class Tlb:
                 self.hits += e - s - 1
         return hits
 
+    def holds(self, pages: Union[Sequence[int], np.ndarray]) -> bool:
+        """Are all of ``pages`` (page numbers) resident?"""
+        resident = self._pages
+        return all(p in resident for p in np.asarray(pages).tolist())
+
+    def settle(self, pages: Union[Sequence[int], np.ndarray], *,
+               hits: int, misses: int) -> None:
+        """Install the outcome of a stream resolved in closed form:
+        ``pages`` (page numbers, by last use, oldest first) become the
+        most recently used, LRU overflow is evicted, and the totals
+        advance by ``hits`` and ``misses``."""
+        resident = self._pages
+        for p in np.asarray(pages).tolist():
+            if p in resident:
+                resident.move_to_end(p)
+            else:
+                resident[p] = None
+        while len(resident) > self.entries:
+            resident.popitem(last=False)
+        self.hits += hits
+        self.misses += misses
+
     def warm(self, base: int, size: int) -> None:
         """Touch every page of [base, base+size)."""
         page = base // self.page_bytes
