@@ -35,6 +35,21 @@ loop is preserved as the executable spec in
 ``tests/reference/chase.py`` and property tests assert exact cycle
 totals and counter-bank equality against it.
 
+A chase that starts from empty caches is not simulated at all.  For
+a cyclic stream through LRU levels the Mattson stack distance decides
+every access — it hits iff fewer than ``ways`` other lines of its set
+were touched since the line's last access, and its sector is valid —
+so lap 1 is all compulsory misses, the L1 repeats one outcome from
+lap 2 on, and the L2, which from lap 2 on sees only the lines of
+thrashing L1 sets, from lap 3 on (see :func:`_cold_lru`).  When the
+stream allows it (single-sector ``.ca``/``.cg`` accesses, each line
+and page one contiguous run per period, no sector repeated; the TLB
+empty or holding every page of the chain) the engine counts the
+outcomes of laps 1, 2 and 3+ per line, multiplies whole laps, adds
+the last lap as a prefix, and hands each cache the state the chase
+leaves behind.  The result, the counters and that state are those of
+the simulation; everything else is simulated as above.
+
 Summed cycles are computed with :func:`chase_total_clk` — a
 count-weighted sum over the distinct latency values in ascending
 order — on the engine *and* spec paths, so totals compare bit-equal
@@ -160,6 +175,8 @@ class _Laps:
         self.cut = self.rest or period           # accesses of the last
 
     def weights(self, runs: _Runs, heads: bool = False):
+        """The weights that count ``runs``' accesses, or with
+        ``heads`` their heads."""
         if heads:
             return np.ones(len(runs.keys), dtype=np.int64), \
                 (runs.heads < self.rest).astype(np.int64)
@@ -209,7 +226,7 @@ def _cold_lru(sets: np.ndarray, ways: int,
     if later is None or later.all():
         hit = k[sets] <= ways
         return hit, hit, fill
-    if not later.any():
+    if not later.any():                 # no line comes back: no hits
         return later, later, fill
     once = np.bincount(sets[~later], minlength=len(k))
     order = np.argsort(sets, kind="stable")
@@ -267,7 +284,8 @@ def _settle(cache, lines: _Runs, laps: _Laps, later: np.ndarray,
                 valid[cut_run] = cut_mask
         return lines.keys, valid, stamp, ins
 
-    cache.settle(resolve, accesses=laps.total(tag[:1] + (later, later), w),
+    cache.settle(resolve,
+                 accesses=laps.total((tag[0], later, later), w),
                  hits=laps.total((~tag[0],) + hit, w), tag_misses=tags,
                  evictions=tags - fill)
 
