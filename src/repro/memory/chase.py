@@ -44,7 +44,8 @@ lap 2 on, and the L2, which from lap 2 on sees only the lines of
 thrashing L1 sets, from lap 3 on (see :func:`_cold_lru`).  When the
 stream allows it (single-sector ``.ca``/``.cg`` accesses, each line
 and page one contiguous run per period, no sector repeated; the TLB
-empty or holding every page of the chain) the engine counts the
+empty or holding every page of the chain) and the chase is long
+enough to pay for it, the engine counts the
 outcomes of laps 1, 2 and 3+ per line, multiplies whole laps, adds
 the last lap as a prefix, and hands each cache the state the chase
 leaves behind.  The result, the counters and that state are those of
@@ -136,6 +137,14 @@ class ChaseStats:
 #: cache operators the closed form models: both allocate on a miss
 #: in every cache they pass through
 _CLOSED_FORM_OPS = (CacheOp.CACHE_ALL, CacheOp.CACHE_GLOBAL)
+
+#: shortest chase the closed form takes.  Its cost is some two hundred
+#: array operations whatever the length, plus installing the end state
+#: if the caches are used again; a shorter chase simulates for less
+#: (H800, periods 1-256: a cold chase of 8-128 accesses simulates in
+#: 0.12-0.9 ms, the closed form with its install takes 0.55-1.2 ms;
+#: they meet at 256-512 accesses)
+_CLOSED_FORM_MIN_ITERS = 256
 
 
 @dataclass(frozen=True)
@@ -457,7 +466,7 @@ class ChaseEngine:
         hierarchy's state is not eligible."""
         h = self.hierarchy
         op = self.cache_op
-        if not iters or op not in _CLOSED_FORM_OPS:
+        if iters < _CLOSED_FORM_MIN_ITERS or op not in _CLOSED_FORM_OPS:
             return None
         l2 = h.l2
         l1 = h.l1_for_sm(self.sm_id) if op.allocates_l1 else None

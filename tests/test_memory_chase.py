@@ -29,7 +29,7 @@ from repro.fuzz.strategies import (
     chase_strides,
 )
 from repro.isa.memory_ops import CacheOp
-from repro.memory import MemoryHierarchy, PChase
+from repro.memory import MemoryHierarchy, PChase, chase
 from repro.memory.chase import (ChaseEngine, chase_total_clk,
                                 latency_counts)
 from repro.memory.pchase import _chain_order, measure_latencies
@@ -284,6 +284,14 @@ def _engine(device, seq, iters, op, warm):
                    sess.counters.as_dict()), _raw_state(mh, seq)
 
 
+@pytest.fixture
+def any_length(monkeypatch):
+    """Let the closed form take chases of any length, so its rule is
+    pinned on short chains too (``run`` simulates short chases, which
+    cost less that way)."""
+    monkeypatch.setattr(chase, "_CLOSED_FORM_MIN_ITERS", 1)
+
+
 class TestClosedForm:
     """Cold-start chases are answered in closed form and must equal
     the scalar chase in every outcome, total, counter and in the
@@ -292,7 +300,8 @@ class TestClosedForm:
     @pytest.mark.parametrize("op", _OPS, ids=lambda o: o.value)
     @pytest.mark.parametrize("stride", _CLOSED_STRIDES)
     @pytest.mark.parametrize("name", _DEVICES)
-    def test_closed_form_matches_scalar(self, name, stride, op):
+    def test_closed_form_matches_scalar(self, name, stride, op,
+                                        any_length):
         """Over the device × stride × op grid the per-set line count
         ``k`` (of L1 for ``.ca``, of L2 for ``.cg``) sits just below,
         at and just above the way count, and the chain order and the
@@ -326,7 +335,7 @@ class TestClosedForm:
                 assert raw == want_raw, (iters, k, seed, warm)
 
     @pytest.mark.parametrize("name", _DEVICES)
-    def test_simulated_chase_after_closed_form(self, name):
+    def test_simulated_chase_after_closed_form(self, name, any_length):
         """Two chases on one hierarchy: a closed-form warm-up leaves
         the exact state a simulated chase then starts from (the
         ``CacheProbe.conflict_sweep`` pattern, plus a different
@@ -365,7 +374,8 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("order", ["shared_first", "interleaved",
                                        "shared_last"])
-    def test_l2_second_lap_distance_at_the_way_count(self, order):
+    def test_l2_second_lap_distance_at_the_way_count(self, order,
+                                                      any_length):
         """One L2 set whose lines split between a thrashing L1 set
         (seen by L2 again from lap 2) and a fitting one (lap 1 only).
         In lap 2 a line's stack distance is the set's line count less
@@ -427,6 +437,18 @@ class TestClosedForm:
                 runs.append((latency_counts(lats), levels, tlb_hits))
             runs[-1] += (_fingerprint(mh, seq), sess.counters.as_dict())
         assert runs[0] == runs[1]
+
+    def test_short_chases_are_simulated(self):
+        """``run`` takes the closed form from 256 accesses on and
+        simulates shorter chases, exactly either way."""
+        seq = np.arange(300, dtype=np.int64) * 128
+        expected = _scalar_checkpoints(_TINY, seq, (255, 256),
+                                       CacheOp.CACHE_ALL, True)
+        for iters, simulated in ((255, 255), (256, 0)):
+            stats, got, _ = _engine(_TINY, seq, iters,
+                                    CacheOp.CACHE_ALL, True)
+            assert stats.simulated == simulated
+            assert got == expected[iters][0]
 
     def test_closed_form_reports_and_traces(self):
         """A closed-form run accounts every access as extrapolated and
