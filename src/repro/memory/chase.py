@@ -217,7 +217,7 @@ def _cold_lru(sets: np.ndarray, ways: int,
               later: Optional[np.ndarray] = None):
     """Head hits ``(lap 2, laps 3+)`` of the runs of a cyclic stream
     through an LRU level that starts empty, one line per run, and the
-    number of lines the level holds at the end.
+    number of lines the level holds at the end: ``(hits, fill)``.
 
     The level sees every run in lap 1 and, from lap 2 on, only the
     ``later`` runs (all when ``None``).  By the Mattson stack distance
@@ -234,9 +234,9 @@ def _cold_lru(sets: np.ndarray, ways: int,
     fill = int(np.minimum(k, ways).sum())
     if later is None or later.all():
         hit = k[sets] <= ways
-        return hit, hit, fill
+        return (hit, hit), fill
     if not later.any():                 # no line comes back: no hits
-        return later, later, fill
+        return (later, later), fill
     once = np.bincount(sets[~later], minlength=len(k))
     order = np.argsort(sets, kind="stable")
     flag = (~later[order]).astype(np.int64)
@@ -244,7 +244,7 @@ def _cold_lru(sets: np.ndarray, ways: int,
     before[order] = np.cumsum(flag) - flag \
         - (np.cumsum(once) - once)[sets[order]]
     return (later & (k[sets] - 1 - before < ways),
-            later & (k[sets] - once[sets] <= ways), fill)
+            later & (k[sets] - once[sets] <= ways)), fill
 
 
 def _settle(cache, lines: _Runs, laps: _Laps, later: np.ndarray,
@@ -507,14 +507,13 @@ class ChaseEngine:
         # per-line head hits of laps 2 and 3+, level by level; from
         # lap 2 on L2 sees only the lines whose L1 set thrashes
         if l1 is not None:
-            l1_hit, _, l1_fill = _cold_lru(lines.keys % l1.num_sets,
-                                           l1.ways)
+            (l1_hit, _), l1_fill = _cold_lru(lines.keys % l1.num_sets,
+                                             l1.ways)
         else:
             l1_hit = np.zeros(n_lines, dtype=bool)
         later = ~l1_hit
-        *l2_hit, l2_fill = _cold_lru(lines.keys % l2.num_sets, l2.ways,
-                                     later)
-        l2_hit = tuple(l2_hit)
+        l2_hit, l2_fill = _cold_lru(lines.keys % l2.num_sets, l2.ways,
+                                    later)
 
         # accesses per serving level (lap 1 goes to DRAM); a TLB miss
         # is a page head that misses, served where its line is
@@ -525,19 +524,19 @@ class ChaseEngine:
         served.append(iters - sum(served))
         missed = [0, 0, 0]
         if not tlb_warm:
+            # every page head misses in lap 1 and, if the pages
+            # overflow the TLB, in every later lap
             at = np.searchsorted(lines.heads, pages.heads,
                                  side="right") - 1
             head_w = laps.weights(pages, heads=True)
-            thrash = len(pages.keys) > tlb.entries
-            lap1 = np.ones(len(pages.keys), dtype=bool)
-            for lvl, rows in enumerate((
-                    (~lap1, l1_hit[at], l1_hit[at]),
-                    (~lap1, l2_hit[0][at], l2_hit[1][at]))):
-                missed[lvl] = laps.total(
-                    (rows[0],) + tuple(r & thrash for r in rows[1:]),
-                    head_w)
-            missed[2] = laps.total((lap1, lap1 & thrash, lap1 & thrash),
-                                   head_w) - missed[0] - missed[1]
+            again = len(pages.keys) > tlb.entries
+            none = np.zeros(len(pages.keys), dtype=bool)
+            missed = [laps.total((none, h2[at] & again, h3[at] & again),
+                                 head_w)
+                      for h2, h3 in ((l1_hit, l1_hit), l2_hit)]
+            missed.append(laps.total((~none, ~none & again,
+                                      ~none & again), head_w)
+                          - sum(missed))
         tlb_hits = iters - sum(missed)
 
         lat = h.device.mem_latencies

@@ -401,6 +401,21 @@ class TestClosedForm:
             assert (got, raw) == _scalar_checkpoints(
                 _TINY, seq, (iters,), CacheOp.CACHE_ALL, True)[iters]
 
+    @pytest.mark.parametrize("op", _OPS, ids=lambda o: o.value)
+    @pytest.mark.parametrize("stride", [1 << 20, 2 << 20])
+    def test_tlb_overflow(self, stride, op):
+        """More pages than TLB entries, one or two accesses each, from
+        an empty TLB: every page head misses in every lap."""
+        tlb_entries = MemoryHierarchy(_TINY).tlb.entries
+        n = (tlb_entries + 8) * (2 << 20) // stride
+        seq = np.arange(n, dtype=np.int64) * stride
+        checkpoints = (n + n // 2 + 1, 2 * n + 1)
+        expected = _scalar_checkpoints(_TINY, seq, checkpoints, op, False)
+        for iters in checkpoints:
+            stats, got, raw = _engine(_TINY, seq, iters, op, False)
+            assert stats.simulated == 0
+            assert (got, raw) == expected[iters]
+
     @pytest.mark.parametrize("case", [
         "stride16", "stride48", "random32", "streaming", "warm_l2",
         "warm_l1"])
